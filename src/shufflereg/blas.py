@@ -1,0 +1,87 @@
+"""Single-threaded OpenBLAS for the duration of a sweep.
+
+numpy and scipy each bundle their own OpenBLAS: numpy's ILP64 build exports
+``scipy_openblas_{get,set}_num_threads64_`` and scipy's LP64 build
+``scipy_openblas_{get,set}_num_threads``. ``single_threaded()`` sets every
+loaded build to one thread and restores each build's previous count on exit.
+Sweeps run inside it for two reasons: BLAS threads compete with the sweep's
+own trial workers, and the thread count changes the roundoff of QR and matrix
+products, so sweep output would otherwise depend on the machine's core count.
+The setting is process-wide: other threads that call BLAS while a sweep runs
+are single-threaded too.
+
+The builds are found through ``/proc/self/maps`` on first use, never at
+import, and cached. Where none is found (another platform or BLAS vendor),
+``single_threaded()`` does nothing. Nested and concurrent uses share one
+depth counter, so the caller's counts are saved by the first to enter and
+restored once, by the last to leave.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import threading
+from typing import Callable, NamedTuple
+
+# (get, set) symbol pairs of numpy's ILP64 build and scipy's LP64 build.
+_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+_lock = threading.Lock()
+_depth = 0
+_saved: list[tuple[Callable[[int], None], int]] = []
+
+
+class OpenBlasBuild(NamedTuple):
+    path: str
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+@functools.cache
+def openblas_builds() -> tuple[OpenBlasBuild, ...]:
+    """Every OpenBLAS build loaded in this process that exports thread-count symbols."""
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return ()
+    builds = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                builds.append(OpenBlasBuild(path, get, set_))
+                break
+    return tuple(builds)
+
+
+@contextlib.contextmanager
+def single_threaded():
+    """Run the body with every loaded OpenBLAS build at one thread."""
+    global _depth
+    with _lock:
+        if _depth == 0:
+            for build in openblas_builds():
+                _saved.append((build.set_threads, build.get_threads()))
+                build.set_threads(1)
+        _depth += 1
+    try:
+        yield
+    finally:
+        with _lock:
+            _depth -= 1
+            if _depth == 0:
+                while _saved:
+                    set_threads, count = _saved.pop()
+                    set_threads(count)

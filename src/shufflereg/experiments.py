@@ -2,8 +2,11 @@
 
 A sweep runs ``trials`` independent synthesized instances at every SNR grid
 point and aggregates recovery statistics. Per-trial seeds are derived from
-(master_seed, grid_index, trial_index), never from scheduling, so results are
-identical at any worker count and trials may run concurrently.
+(master_seed, grid_index, trial_index), never from scheduling, and OpenBLAS
+runs single-threaded for the whole sweep (the caller's thread counts are
+restored afterwards), so CSV bytes are identical at any worker count and on
+any core count (for one CPU type and BLAS build), and trials may run
+concurrently.
 
 CSV columns (fixed order)::
 
@@ -25,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import blas
 from .estimators import (
     alternating_minimization,
     least_squares_signal,
@@ -233,6 +237,13 @@ def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> Tr
 
 
 def _aggregate(config: ExperimentConfig, grid_index: int, results: Sequence[TrialResult]) -> SweepRow:
+    """One CSV row from the trials of one grid point.
+
+    Failed trials (``ok=False``) count in the denominator of
+    ``recovery_rate``, which is exact recoveries over ``config.trials``, but
+    ``mean_hamming`` and ``mean_rel_b_error`` average only the successful
+    trials (NaN when none succeeded). ``failures`` is not written to the CSV.
+    """
     snr_point = config.snr_grid[grid_index]
     b_true = config.signal_matrix()
     noiseless = isinstance(snr_point, NoiselessMarker)
@@ -262,21 +273,27 @@ def _aggregate(config: ExperimentConfig, grid_index: int, results: Sequence[Tria
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
-    """Run every (grid point, trial) pair; row order follows the grid."""
-    rows = []
-    for grid_index in range(len(config.snr_grid)):
+    """Run every (grid point, trial) pair; row order follows the grid.
+
+    All pairs go through one worker pool (or one serial loop) in grid-major
+    order, with OpenBLAS single-threaded for the whole sweep
+    (``shufflereg.blas``); the caller's BLAS thread counts are restored on
+    return, also when a trial raises.
+    """
+    pairs = [(g, t) for g in range(len(config.snr_grid)) for t in range(config.trials)]
+    with blas.single_threaded():
         if config.workers > 1:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda t: run_trial(config, grid_index, t),
-                        range(config.trials),
-                    )
-                )
+                results = list(pool.map(lambda pair: run_trial(config, *pair), pairs))
         else:
-            results = [run_trial(config, grid_index, t) for t in range(config.trials)]
-        rows.append(_aggregate(config, grid_index, results))
-    return SweepResult(rows=tuple(rows))
+            results = [run_trial(config, g, t) for g, t in pairs]
+    t = config.trials
+    return SweepResult(
+        rows=tuple(
+            _aggregate(config, g, results[g * t : (g + 1) * t])
+            for g in range(len(config.snr_grid))
+        )
+    )
 
 
 def reproduce_failure_demo(n: int, max_iters: int, seed: int):

@@ -1,19 +1,23 @@
 """Lightweight call counters used to audit the solver cost budget.
 
 Counts are advisory diagnostics (tests assert one assignment solve and one
-least-squares solve per one-step estimate); they are not synchronized and do
-not participate in any numeric output.
+least-squares solve per one-step estimate) and do not participate in any
+numeric output. ``record`` is thread-safe, so sweep workers that record
+concurrently lose no increments; ``counters`` is one process-wide tally.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 
 counters: Counter = Counter()
+_lock = threading.Lock()
 
 
 def record(event: str) -> None:
-    counters[event] += 1
+    with _lock:
+        counters[event] += 1
 
 
 def snapshot() -> dict:
