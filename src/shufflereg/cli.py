@@ -18,11 +18,11 @@ import sys
 from .estimators import RankDeficiencyError, one_step_estimate
 from .experiments import (
     ConfigError,
-    format_csv,
     load_config,
     reproduce_failure_demo,
     run_sweep,
     with_overrides,
+    write_csv,
 )
 from .matrixio import read_matrix, write_matrix, write_permutation
 from .metrics import (
@@ -84,10 +84,9 @@ def cmd_simulate(args) -> int:
         return _fail(str(exc), EXIT_USAGE)
     result = run_sweep(config)
     try:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(format_csv(result))
+        write_csv(result, args.out)
     except OSError as exc:
-        return _fail(f"cannot write sweep CSV to {args.out}: {exc}", EXIT_RUNTIME)
+        return _fail(str(exc), EXIT_RUNTIME)
     for row in result.rows:
         note = f" failures={row.failures}" if row.failures else ""
         print(

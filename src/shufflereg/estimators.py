@@ -11,7 +11,7 @@
   and least-squares steps; reports a full per-iteration trace so stagnation
   is observable.
 * ``reduce_known_direction`` — collapses a p-column problem with known signal
-  direction to the single-column model.
+  direction e to the single-column model on the projection X e.
 """
 
 from __future__ import annotations
@@ -94,32 +94,10 @@ def least_squares_signal(x, y, perm: Permutation) -> np.ndarray:
     return solve_triangular(r, q.T @ aligned, lower=False)
 
 
-def _cost_flops_gram(n: int, p: int, m: int) -> int:
-    # (Y Y^T)(X X^T): two Gram products then an n x n square multiply.
-    return n * n * m + n * n * p + n * n * n
-
-
-def _cost_flops_factored(n: int, p: int, m: int) -> int:
-    # (Y (Y^T X)) X^T: two skinny products then one n x n assembly.
-    return 2 * n * m * p + n * n * p
-
-
-def _onestep_cost_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (y @ y.T) @ (x @ x.T)
-
-
-def _onestep_cost_factored(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (y @ (y.T @ x)) @ x.T
-
-
 def build_onestep_cost(x, y) -> np.ndarray:
-    """n-by-n matching cost C = Y Y^T X X^T, associated to minimize flops."""
+    """n-by-n matching cost C = Y Y^T X X^T, assembled as (Y (Y^T X)) X^T."""
     xa, ya = _validate_pair(x, y)
-    n, p = xa.shape
-    m = ya.shape[1]
-    if _cost_flops_factored(n, p, m) <= _cost_flops_gram(n, p, m):
-        return _onestep_cost_factored(xa, ya)
-    return _onestep_cost_gram(xa, ya)
+    return (ya @ (ya.T @ xa)) @ xa.T
 
 
 def one_step_estimate(x, y) -> EstimationResult:
@@ -208,45 +186,19 @@ def alternating_minimization(
     )
 
 
-def complete_orthonormal_basis(e) -> np.ndarray:
-    """Orthonormal p-by-p matrix whose first column is the unit vector ``e``.
-
-    Gram-Schmidt over [e, I] with a second orthogonalization pass, so
-    Q^T Q = I holds to ~1e-15.
-    """
-    vec = np.asarray(e, dtype=np.float64).reshape(-1)
-    p = vec.size
-    if p < 1:
-        raise ValueError("direction vector must be non-empty")
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
-    cols = [vec / norm]
-    for k in range(p):
-        if len(cols) == p:
-            break
-        v = np.zeros(p)
-        v[k] = 1.0
-        for _ in range(2):
-            for c in cols:
-                v = v - (c @ v) * c
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            cols.append(v / nrm)
-    if len(cols) != p:  # pragma: no cover - [e, I] always spans R^p
-        raise ValueError("failed to complete an orthonormal basis")
-    return np.column_stack(cols)
-
-
 def reduce_known_direction(x, e) -> np.ndarray:
     """Project the design onto a known unit signal direction.
 
-    Returns the first column of X Q as an n-by-1 matrix, where Q completes
-    ``e`` to an orthonormal basis; the p-column problem with known direction
+    Returns X e as an n-by-1 matrix; the p-column problem with known direction
     then reads as the single-column model on that projection.
     """
     xa = require_matrix(x, "x")
-    q = complete_orthonormal_basis(e)
-    if q.shape[0] != xa.shape[1]:
-        raise ValueError(f"direction has length {q.shape[0]} but x has {xa.shape[1]} columns")
-    return (xa @ q)[:, :1]
+    vec = np.asarray(e, dtype=np.float64).reshape(-1)
+    if vec.size != xa.shape[1]:
+        raise ValueError(f"direction has length {vec.size} but x has {xa.shape[1]} columns")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("direction contains non-finite entries")
+    norm = np.linalg.norm(vec)
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
+    return (xa @ (vec / norm))[:, None]

@@ -16,9 +16,6 @@ import numpy as np
 
 from .model import Permutation, require_matrix
 
-# Beyond this dimension the operator norm switches from full SVD to power iteration.
-_SVD_MAX_DIM = 2000
-
 
 class NoiselessMarker:
     """Singleton standing in for sigma = 0; larger than every finite SNR."""
@@ -65,36 +62,20 @@ def hamming_distance(a: Permutation, b: Permutation) -> int:
     return int(np.count_nonzero(a.indices != b.indices))
 
 
+def _gram_eigenvalues(arr: np.ndarray) -> np.ndarray:
+    """Squared singular values, ascending: eigenvalues of the smaller of B^T B and B B^T."""
+    side = arr.T @ arr if arr.shape[1] <= arr.shape[0] else arr @ arr.T
+    return np.clip(np.linalg.eigvalsh(side), 0.0, None)
+
+
 def operator_norm(b) -> float:
-    """Largest singular value; SVD for small matrices, power iteration above."""
-    arr = require_matrix(b, "b")
-    if max(arr.shape) <= _SVD_MAX_DIM:
-        return float(np.linalg.svd(arr, compute_uv=False)[0])
-    return power_iteration_operator_norm(arr)
+    """Largest singular value, as the root of the top Gram eigenvalue.
 
-
-def power_iteration_operator_norm(b, rel_tol: float = 1e-10, max_iters: int = 10_000) -> float:
-    """Power iteration on the Gram matrix of the smaller side, to rel_tol."""
+    Dividing by a power of two first is exact and keeps the squares in range.
+    """
     arr = require_matrix(b, "b")
-    if arr.shape[0] < arr.shape[1]:
-        arr = arr.T
-    gram = arr.T @ arr
-    k = gram.shape[0]
-    rng = np.random.Generator(np.random.Philox(key=k))
-    v = rng.standard_normal(k)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iters):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        est = float(v @ (gram @ v))
-        if abs(est - prev) <= rel_tol * max(est, 1e-300):
-            return math.sqrt(est)
-        prev = est
-    return math.sqrt(prev)
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(arr).max()))[1])
+    return scale * math.sqrt(float(_gram_eigenvalues(arr / scale)[-1]))
 
 
 def stable_rank(b) -> float:
@@ -126,9 +107,7 @@ def logdet_ratio(b, sigma: float, n: int) -> float:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     arr = require_matrix(b, "b")
-    # Eigenvalues of B^T B and B B^T agree up to zeros, which add nothing to the sum.
-    side = arr.T @ arr if arr.shape[1] <= arr.shape[0] else arr @ arr.T
-    eigs = np.clip(np.linalg.eigvalsh(side), 0.0, None)
+    eigs = _gram_eigenvalues(arr)
     return float(np.sum(np.log1p(eigs / (sigma * sigma))) / math.log(n))
 
 

@@ -138,6 +138,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_unwritable_out_is_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_CONFIG)
+        out = tmp_path / "missing" / "s.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write sweep CSV to {out}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestDemoFailure:
     def test_trace_file_layout(self, tmp_path):

@@ -6,13 +6,10 @@ from shufflereg.estimators import (
     RankDeficiencyError,
     alternating_minimization,
     build_onestep_cost,
-    complete_orthonormal_basis,
     least_squares_signal,
     one_step_estimate,
     oracle_permutation_estimate,
     reduce_known_direction,
-    _onestep_cost_factored,
-    _onestep_cost_gram,
 )
 from shufflereg.lap import lap_brute_force
 from shufflereg.metrics import hamming_distance, relative_signal_error
@@ -40,16 +37,16 @@ class TestBuildOnestepCost:
         assert cost.shape == (1, 1)
         assert cost[0, 0] == pytest.approx(3.0**2 * 2.0**2)
 
-    def test_association_orders_agree(self):
+    @pytest.mark.parametrize("n,p,m", [(5, 2, 3), (4, 3, 20), (30, 1, 1), (6, 6, 6)])
+    def test_matches_dense_product(self, n, p, m):
+        # (4, 3, 20) is a shape where (Y Y^T)(X X^T) needs fewer flops.
         rng = np.random.default_rng(0)
         for _ in range(10):
-            x = rng.standard_normal((5, 2))
-            y = rng.standard_normal((5, 3))
-            gram = _onestep_cost_gram(x, y)
-            factored = _onestep_cost_factored(x, y)
-            scale = np.abs(gram).max()
-            assert np.abs(gram - factored).max() <= 1e-12 * scale
-            assert np.abs(build_onestep_cost(x, y) - gram).max() <= 1e-12 * scale
+            x = rng.standard_normal((n, p))
+            y = rng.standard_normal((n, m))
+            dense = (y @ y.T) @ (x @ x.T)
+            scale = np.abs(dense).max()
+            assert np.abs(build_onestep_cost(x, y) - dense).max() <= 1e-12 * scale
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
@@ -257,19 +254,29 @@ class TestKnownDirectionReduction:
         e[0] = 1.0
         assert np.array_equal(reduce_known_direction(x, e), x[:, :1])
 
-    def test_completed_basis_is_orthonormal(self):
+    def test_random_unit_direction_is_design_times_direction(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
-            p = int(rng.integers(1, 30))
+            n, p = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+            x = rng.standard_normal((n, p))
             e = rng.standard_normal(p)
             e /= np.linalg.norm(e)
-            q = complete_orthonormal_basis(e)
-            assert np.abs(q.T @ q - np.eye(p)).max() <= 1e-12
-            assert np.allclose(q[:, 0], e, atol=1e-15)
+            reduced = reduce_known_direction(x, e)
+            assert reduced.shape == (n, 1)
+            assert np.allclose(reduced[:, 0], x @ e, rtol=1e-14, atol=1e-14)
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             reduce_known_direction(np.ones((4, 2)), np.array([1.0, 1.0]))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="length 3 but x has 2 columns"):
+            reduce_known_direction(np.ones((4, 2)), np.array([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_direction_rejected(self, bad):
+        with pytest.raises(ValueError, match="direction contains non-finite entries"):
+            reduce_known_direction(np.ones((4, 2)), np.array([bad, 0.0]))
 
     def test_projected_column_norm_matches_gaussian_law(self):
         # Rotation invariance: ||X q||^2 for Gaussian X is chi-squared with n

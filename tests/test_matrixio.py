@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shufflereg.matrixio import (
     read_matrix,
@@ -18,6 +21,31 @@ def test_round_trip_is_bit_exact(tmp_path):
     back = read_matrix(path)
     assert back.shape == mat.shape
     assert np.array_equal(back, mat)
+
+
+F64 = np.finfo(np.float64)
+EDGE_VALUES = [0.0, -0.0, F64.smallest_subnormal, -F64.smallest_subnormal,
+               F64.tiny, F64.max, -F64.max, 1.0 / 3.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+        elements=st.one_of(
+            st.sampled_from(EDGE_VALUES),
+            st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+        ),
+    )
+)
+def test_round_trip_preserves_every_bit(tmp_path_factory, mat):
+    # view(np.uint64) tells -0.0 from 0.0, which array_equal does not.
+    path = tmp_path_factory.mktemp("rt") / "m.txt"
+    write_matrix(mat, path)
+    back = read_matrix(path)
+    assert back.shape == mat.shape
+    assert np.array_equal(back.view(np.uint64), mat.view(np.uint64))
 
 
 def test_header_and_layout(tmp_path):

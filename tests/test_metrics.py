@@ -13,7 +13,6 @@ from shufflereg.metrics import (
     logdet_ratio,
     minimax_logdet_threshold,
     operator_norm,
-    power_iteration_operator_norm,
     relative_signal_error,
     snr,
     stable_rank,
@@ -79,13 +78,25 @@ class TestStableRank:
             assert 1.0 - 1e-12 <= sr <= rank + 1e-9
             assert sr == pytest.approx(float(np.sum(svals**2) / svals[0] ** 2))
 
-    def test_power_iteration_agrees_with_svd(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            b = rng.standard_normal((int(rng.integers(2, 40)), int(rng.integers(2, 40))))
-            svd_norm = float(np.linalg.svd(b, compute_uv=False)[0])
-            assert power_iteration_operator_norm(b) == pytest.approx(svd_norm, rel=1e-8)
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (2, 39), (17, 5), (40, 40), (2001, 3), (3, 2500), (300, 2001)],
+        ids=lambda shape: f"{shape[0]}x{shape[1]}",
+    )
+    def test_operator_norm_agrees_with_svd(self, shape):
+        b = np.random.default_rng(3).standard_normal(shape)
+        svd_norm = float(np.linalg.svd(b, compute_uv=False)[0])
+        assert operator_norm(b) == pytest.approx(svd_norm, rel=1e-12)
+
+    def test_operator_norm_of_diagonal(self):
         assert operator_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
+        assert operator_norm(np.diag([1.0, -4.0, 2.0])) == pytest.approx(4.0)
+
+    def test_operator_norm_at_extreme_scales(self):
+        # Squaring these entries would overflow or underflow a float64.
+        assert operator_norm(np.diag([1e200, 1.0])) == pytest.approx(1e200)
+        assert operator_norm(np.diag([1e-170, -2e-170])) == pytest.approx(2e-170)
+        assert operator_norm(np.zeros((2, 3))) == 0.0
 
 
 class TestSnr:
