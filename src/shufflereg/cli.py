@@ -134,19 +134,20 @@ def cmd_diagnose(args) -> int:
         return _fail(f"m must be >= 1, got {m}", EXIT_USAGE)
     try:
         srank = stable_rank(b)
+        # logdet_ratio runs first: it rejects a B^T B / sigma^2 that overflows before snr squares B.
+        logdet = logdet_ratio(b, args.sigma, args.n) * math.log(args.n) if args.sigma > 0 else None
+        ratio = snr(b, m, args.sigma)
     except ValueError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
     print(f"stable_rank = {srank:.12g}")
     print(f"regime = {classify_regime(srank, args.n)}")
     threshold = minimax_logdet_threshold(args.n)
     print(f"minimax_threshold = {threshold:.12g}")
-    ratio = snr(b, m, args.sigma)
-    if args.sigma == 0:
+    if logdet is None:
         print("snr = noiseless")
         print("logdet = noiseless")
         return EXIT_OK
     print(f"snr = {float(ratio):.12g}")
-    logdet = logdet_ratio(b, args.sigma, args.n) * math.log(args.n)
     print(f"logdet = {logdet:.12g}")
     print(f"logdet_over_log_n = {logdet / math.log(args.n):.12g}")
     if logdet < threshold:

@@ -3,11 +3,12 @@
 ``lap_maximize`` negates the cost matrix into a shortest-augmenting-path
 minimizer (scipy's linear_sum_assignment), which is exact and O(n^3). Ties
 between optimal assignments are broken toward the lexicographically smallest
-index map; exhaustive tie canonicalization runs for n <= 64 (via forced-prefix
-re-solves), while larger problems return the solver's deterministic optimum —
-cost matrices with continuous random entries have a unique optimum with
-probability one. Objectives on both solver and oracle paths are computed by
-one shared summation routine so equality comparisons are exact.
+index map; exhaustive tie canonicalization runs for n <= 64 (one restricted
+re-solve per row, repeated while it finds a tie), while larger problems return
+the solver's deterministic optimum — cost matrices with continuous random
+entries have a unique optimum with probability one. Objectives on both solver
+and oracle paths are computed by one shared summation routine so equality
+comparisons are exact.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from scipy.optimize import linear_sum_assignment
 from . import instrument
 from .model import Permutation
 
-# Above this size the exhaustive lexicographic tie pass (O(n^2) sub-solves) is skipped.
+# Above this size the lexicographic tie pass (one sub-solve per row, more on ties) is skipped.
 LEX_TIEBREAK_MAX_N = 64
 
 BRUTE_FORCE_MAX_N = 10
@@ -55,31 +56,27 @@ def _validate_cost(cost) -> np.ndarray:
 def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Refine an optimal assignment to the lex-smallest one of equal objective.
 
-    Greedy over rows: for row i, adopt the smallest column that still admits a
-    completion with the same canonical objective, checked by re-solving the
-    forced remainder. Comparisons are exact float equality on canonically
-    summed objectives, which detects exactly the ties that are exact in
-    double precision.
+    Greedy over rows: with rows < i fixed, re-solve rows i.. over their free
+    columns with row i barred from its current column and every larger one,
+    and adopt the result while its canonical objective still equals the
+    optimum. Comparisons are exact float equality on canonically summed
+    objectives, which detects exactly the ties that are exact in double
+    precision.
     """
     n = cost.shape[0]
     best = assignment_objective(cost, indices)
     current = indices.copy()
-    for i in range(n):
-        used = set(current[:i].tolist())
-        candidates = [j for j in range(int(current[i])) if j not in used]
-        for j in candidates:
-            free_cols = np.array(
-                [c for c in range(n) if c not in used and c != j], dtype=np.int64
-            )
+    for i in range(n - 1):
+        free = np.sort(current[i:])
+        sub = -cost[i:, free]
+        while current[i] > free[0]:
+            sub[0, free >= current[i]] = np.inf
+            rows, cols = linear_sum_assignment(sub)
             trial = current.copy()
-            trial[i] = j
-            if i + 1 < n:
-                sub = cost[np.ix_(np.arange(i + 1, n), free_cols)]
-                rows, cols = linear_sum_assignment(-sub)
-                trial[i + 1 + rows] = free_cols[cols]
-            if assignment_objective(cost, trial) == best:
-                current = trial
+            trial[i + rows] = free[cols]
+            if assignment_objective(cost, trial) != best:
                 break
+            current = trial
     return current
 
 

@@ -68,23 +68,32 @@ def _gram_eigenvalues(arr: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(side), 0.0, None)
 
 
+def _power_of_two_scale(arr: np.ndarray) -> float:
+    """The power of two just above the largest |entry|; dividing by it is exact."""
+    return math.ldexp(1.0, math.frexp(float(np.abs(arr).max()))[1])
+
+
 def operator_norm(b) -> float:
     """Largest singular value, as the root of the top Gram eigenvalue.
 
     Dividing by a power of two first is exact and keeps the squares in range.
     """
     arr = require_matrix(b, "b")
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(arr).max()))[1])
+    scale = _power_of_two_scale(arr)
     return scale * math.sqrt(float(_gram_eigenvalues(arr / scale)[-1]))
 
 
 def stable_rank(b) -> float:
-    """||B||_F^2 / ||B||_op^2. Lies in [1, rank(B)] for nonzero B."""
+    """||B||_F^2 / ||B||_op^2. Lies in [1, rank(B)] for nonzero B.
+
+    The ratio is taken on B over a power of two, as in ``operator_norm``.
+    """
     arr = require_matrix(b, "b")
-    fro_sq = float(np.sum(arr * arr))
+    scaled = arr / _power_of_two_scale(arr)
+    fro_sq = float(np.sum(scaled * scaled))
     if fro_sq == 0.0:
         raise ValueError("stable rank is undefined for the zero matrix")
-    op = operator_norm(arr)
+    op = operator_norm(scaled)
     return fro_sq / (op * op)
 
 
@@ -107,8 +116,14 @@ def logdet_ratio(b, sigma: float, n: int) -> float:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     arr = require_matrix(b, "b")
-    eigs = _gram_eigenvalues(arr)
-    return float(np.sum(np.log1p(eigs / (sigma * sigma))) / math.log(n))
+    with np.errstate(all="ignore"):
+        ratios = _gram_eigenvalues(arr) / (sigma * sigma)
+    if not np.all(np.isfinite(ratios)):
+        raise ValueError(
+            f"B^T B / sigma^2 overflows double precision at sigma={sigma:g}; "
+            "the log-det ratio depends only on B / sigma, so rescale both"
+        )
+    return float(np.sum(np.log1p(ratios)) / math.log(n))
 
 
 def minimax_logdet_threshold(n: int) -> float:

@@ -33,8 +33,7 @@ class DistributionKind(Enum):
 
     @property
     def variance(self) -> float:
-        # Uniform[-1, 1] is deliberately left at variance 1/3 (no rescaling);
-        # see ``sample_design_matrix(normalize=True)`` for the isotropic variant.
+        # Uniform[-1, 1] is used as drawn, so its variance is 1/3, not 1.
         if self is DistributionKind.UNIFORM:
             return 1.0 / 3.0
         return 1.0
@@ -126,19 +125,8 @@ def apply_permutation(perm: Permutation, mat) -> np.ndarray:
     return arr[perm.indices, :]
 
 
-def sample_design_matrix(
-    n: int,
-    p: int,
-    dist: DistributionKind,
-    seed: int,
-    *,
-    normalize: bool = False,
-) -> np.ndarray:
-    """Draw an n-by-p design with i.i.d. entries from ``dist``.
-
-    Deterministic for a fixed seed. With ``normalize=True`` the uniform design
-    is rescaled to unit variance instead of its native 1/3.
-    """
+def sample_design_matrix(n: int, p: int, dist: DistributionKind, seed: int) -> np.ndarray:
+    """Draw an n-by-p design with i.i.d. entries from ``dist``; deterministic for a fixed seed."""
     if n < 1 or p < 1:
         raise ValueError(f"design dimensions must be positive, got n={n}, p={p}")
     rng = generator(seed, "design")
@@ -146,8 +134,6 @@ def sample_design_matrix(
         x = rng.standard_normal((n, p))
     elif dist is DistributionKind.UNIFORM:
         x = rng.uniform(-1.0, 1.0, size=(n, p))
-        if normalize:
-            x = x * np.sqrt(3.0)
     elif dist is DistributionKind.RADEMACHER:
         x = rng.integers(0, 2, size=(n, p)).astype(np.float64) * 2.0 - 1.0
     else:  # pragma: no cover - enum is closed
@@ -220,8 +206,6 @@ def synthesize_instance(
     b_true,
     sigma: float,
     seed: int,
-    *,
-    normalize_design: bool = False,
 ) -> ProblemInstance:
     """Build one observation Y = P X B + W from independent sub-streams of ``seed``.
 
@@ -234,7 +218,7 @@ def synthesize_instance(
         raise ValueError(f"b_true has shape {b.shape}, expected ({p}, {m})")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    x = sample_design_matrix(n, p, dist, seed, normalize=normalize_design)
+    x = sample_design_matrix(n, p, dist, seed)
     perm = sample_permutation_with_hamming_weight(n, h, seed)
     y = apply_permutation(perm, x @ b)
     if sigma > 0:

@@ -202,6 +202,27 @@ class TestDiagnose:
         assert code == 0
         assert "below minimax threshold" in capsys.readouterr().out
 
+    def test_overflowing_gram_fails_before_printing(self, tmp_path, capsys):
+        b_path = tmp_path / "b.txt"
+        b_path.write_text("2 2\n1e200 0\n0 1\n")
+        code = main(["diagnose", "--b", str(b_path), "--sigma", "1", "--n", "100"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows" in captured.err
+        assert "nan" not in captured.err
+
+    def test_tiny_signal_is_not_the_zero_matrix(self, tmp_path, capsys):
+        b_path = tmp_path / "b.txt"
+        b_path.write_text("2 2\n1e-170 0\n0 2e-170\n")
+        code = main(["diagnose", "--b", str(b_path), "--sigma", "1", "--n", "100"])
+        assert code == 0
+        out = capsys.readouterr().out
+        values = dict(line.split(" = ") for line in out.strip().splitlines() if " = " in line)
+        # ||B||_F^2 / ||B||_op^2 = (1 + 4) / 4.
+        assert float(values["stable_rank"]) == 1.25
+        assert "nan" not in out
+
     def test_negative_sigma_is_usage_error(self, tmp_path):
         b_path = tmp_path / "b.txt"
         write_matrix(build_canonical_signal(2, 2, 1.0), b_path)

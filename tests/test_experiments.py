@@ -133,7 +133,7 @@ class TestRunTrial:
 
     def test_exact_iff_zero_hamming_enforced(self):
         with pytest.raises(ValueError, match="exact flag"):
-            TrialResult(exact=True, hamming=3, rel_b_error=0.0, runtime_ms=1.0)
+            TrialResult(exact=True, hamming=3, rel_b_error=0.0)
 
     def test_estimator_dispatch(self):
         cfg_oracle = small_config(estimator="oracle_perm", trials=2)

@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment
 
-from shufflereg.lap import Assignment, lap_brute_force, lap_maximize
-from shufflereg.model import Permutation
+import shufflereg.lap
+from shufflereg.estimators import build_onestep_cost
+from shufflereg.experiments import sigma_for_snr
+from shufflereg.lap import Assignment, assignment_objective, lap_brute_force, lap_maximize
+from shufflereg.model import (
+    DistributionKind,
+    Permutation,
+    build_canonical_signal,
+    synthesize_instance,
+)
 
 
 def objective_of(cost, perm):
@@ -87,6 +99,74 @@ class TestTieBreak:
         result = lap_maximize(cost)
         assert result.perm == Permutation(np.array([0, 1, 2]))
         assert result.objective == 19.0
+
+
+def per_candidate_canonical(cost):
+    """Reference tie pass: for each row, try every smaller free column in turn.
+
+    Forces row i to candidate column j, re-solves the rows below over the
+    remaining free columns, and keeps the first j whose canonical objective
+    equals the optimum.
+    """
+    n = cost.shape[0]
+    _, current = linear_sum_assignment(-cost)
+    best = assignment_objective(cost, current)
+    for i in range(n):
+        used = set(current[:i].tolist())
+        for j in [c for c in range(int(current[i])) if c not in used]:
+            free_cols = np.array([c for c in range(n) if c not in used and c != j])
+            trial = current.copy()
+            trial[i] = j
+            if i + 1 < n:
+                _, cols = linear_sum_assignment(-cost[i + 1 :][:, free_cols])
+                trial[i + 1 :] = free_cols[cols]
+            if assignment_objective(cost, trial) == best:
+                current = trial
+                break
+    return current
+
+
+class TestTiePassAgainstReference:
+    # Rademacher designs repeat rows, so the one-step cost has exactly equal
+    # columns and the optimum is tied, as in the tie benchmark workload.
+    @pytest.mark.parametrize("n,p", [(24, 3), (64, 8)])
+    @pytest.mark.parametrize("snr", [10.0, None])
+    def test_rademacher_one_step_costs(self, n, p, snr):
+        b = build_canonical_signal(p, p, 1.0)
+        sigma = 0.0 if snr is None else sigma_for_snr(b, p, snr)
+        for seed in range(20):
+            inst = synthesize_instance(n, p, p, n, DistributionKind.RADEMACHER, b, sigma, seed)
+            cost = build_onestep_cost(inst.x, inst.y)
+            expected = per_candidate_canonical(cost)
+            assert np.array_equal(lap_maximize(cost).perm.indices, expected), seed
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(1, 7).map(lambda n: (n, n)),
+            elements=st.integers(-2, 2).map(float),
+        )
+    )
+    def test_small_integer_costs_match_brute_force(self, cost):
+        fast = lap_maximize(cost)
+        brute = lap_brute_force(cost)
+        assert fast.perm == brute.perm
+        assert fast.objective == brute.objective
+
+    def test_continuous_cost_takes_at_most_one_sub_solve_per_row(self, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return linear_sum_assignment(matrix)
+
+        monkeypatch.setattr(shufflereg.lap, "linear_sum_assignment", counting)
+        n = 64
+        cost = np.random.default_rng(5).standard_normal((n, n))
+        lap_maximize(cost)
+        # One full solve plus at most n - 1 restricted re-solves.
+        assert len(calls) <= n
 
 
 class TestOptimalityCertificate:

@@ -66,10 +66,6 @@ class TestSampleDesignMatrix:
             assert abs(x.mean()) <= 5 * np.sqrt(dist.variance / n)
             assert abs(x.var() - var) <= var_tol
 
-    def test_normalize_rescales_uniform_to_unit_variance(self):
-        x = sample_design_matrix(100_000, 1, UNIFORM, seed=4, normalize=True)
-        assert abs(x.var() - 1.0) <= 0.02
-
     def test_deterministic_in_seed(self):
         a = sample_design_matrix(50, 4, GAUSSIAN, seed=11)
         b = sample_design_matrix(50, 4, GAUSSIAN, seed=11)
