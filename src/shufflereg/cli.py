@@ -82,7 +82,11 @@ def cmd_simulate(args) -> int:
         return _fail(f"cannot read config file: {exc.filename}", EXIT_RUNTIME)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    result = run_sweep(config)
+    try:
+        result = run_sweep(config)
+    except ValueError as exc:
+        # A noise level or log-det ratio outside double precision range.
+        return _fail(str(exc), EXIT_RUNTIME)
     try:
         write_csv(result, args.out)
     except OSError as exc:
@@ -134,7 +138,6 @@ def cmd_diagnose(args) -> int:
         return _fail(f"m must be >= 1, got {m}", EXIT_USAGE)
     try:
         srank = stable_rank(b)
-        # logdet_ratio runs first: it rejects a B^T B / sigma^2 that overflows before snr squares B.
         logdet = logdet_ratio(b, args.sigma, args.n) * math.log(args.n) if args.sigma > 0 else None
         ratio = snr(b, m, args.sigma)
     except ValueError as exc:

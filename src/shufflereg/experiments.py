@@ -37,6 +37,8 @@ from .estimators import (
 from .metrics import (
     NOISELESS,
     NoiselessMarker,
+    _ldexp_finite,
+    _sum_of_squares,
     hamming_distance,
     logdet_ratio,
     relative_signal_error,
@@ -95,10 +97,19 @@ def sigma_for_snr(b, m: int, target_snr: float) -> float:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     arr = require_matrix(b, "b")
-    fro_sq = float(np.sum(arr * arr))
-    if fro_sq == 0.0:
+    total, exponent = _sum_of_squares(arr)
+    if total == 0.0:
         raise ValueError("signal must be nonzero")
-    return math.sqrt(fro_sq / (m * target_snr))
+    # sqrt(total * 2**e / (m * snr)) with the even part of the exponent taken
+    # out of the root: exact, so the result is the direct formula's wherever
+    # that formula stays in range.
+    mantissa, snr_exponent = math.frexp(target_snr)
+    half, odd = divmod(exponent - snr_exponent, 2)
+    what = f"noise level for snr {target_snr:g}"
+    sigma = _ldexp_finite(math.sqrt(math.ldexp(total / (m * mantissa), odd)), half, what)
+    if sigma == 0.0 and math.isfinite(target_snr):
+        raise ValueError(f"{what} underflows double precision (below about 5e-324)")
+    return sigma
 
 
 def _snr_key(value) -> float:

@@ -3,12 +3,17 @@
 ``lap_maximize`` negates the cost matrix into a shortest-augmenting-path
 minimizer (scipy's linear_sum_assignment), which is exact and O(n^3). Ties
 between optimal assignments are broken toward the lexicographically smallest
-index map; exhaustive tie canonicalization runs for n <= 64 (one restricted
-re-solve per row, repeated while it finds a tie), while larger problems return
-the solver's deterministic optimum — cost matrices with continuous random
-entries have a unique optimum with probability one. Objectives on both solver
-and oracle paths are computed by one shared summation routine so equality
-comparisons are exact.
+index map for n <= 64. The tie pass first finds, on the exchange graph of the
+solver's optimum, the rows that lie on a zero-weight cycle and so can take
+another column in some other optimum; each strongly connected group of such
+rows is then refined on its own by restricted re-solves of that group, one
+per row and repeated while it finds a tie. A cost without ties costs one
+solve and the test. Larger problems return the solver's deterministic
+optimum: cost matrices with continuous random entries have a unique optimum
+with probability one, while the test, O(n^2) per Bellman-Ford round, takes
+about twice as long as the solve itself on such costs at n = 500 and 1000.
+Objectives on both solver and oracle paths are computed by one shared
+summation routine so equality comparisons are exact.
 """
 
 from __future__ import annotations
@@ -18,11 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from . import instrument
 from .model import Permutation
 
-# Above this size the lexicographic tie pass (one sub-solve per row, more on ties) is skipped.
+# Above this size the lexicographic tie pass (tie test, then re-solves of tied rows) is skipped.
 LEX_TIEBREAK_MAX_N = 64
 
 BRUTE_FORCE_MAX_N = 10
@@ -53,30 +60,81 @@ def _validate_cost(cost) -> np.ndarray:
     return arr
 
 
+def _tied_components(cost: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
+    """Row groups, ascending, that may trade columns with one another in some optimum.
+
+    Exchange graph of the optimum pi: the edge i -> j weighs
+    w[i, j] = C[i, pi(i)] - C[i, pi(j)], the loss when row i takes row j's
+    column. Another assignment sigma differs from pi by disjoint cycles of
+    this graph, and sigma is also optimal iff every one of them weighs zero
+    (complementary slackness; Burkard, Dell'Amico & Martello, *Assignment
+    Problems*, 2009). Bellman-Ford from a virtual source gives potentials d
+    with reduced costs r = w + d_i - d_j >= 0, and r sums to w around a
+    cycle, so every edge of a zero cycle has r = 0 and its rows share a
+    strongly connected component of the edges with r <= tol. Rows outside
+    every component of size > 1 hold the same column in every optimum.
+
+    ``tol`` bounds roundoff, so a row may be flagged in error but never
+    missed. With u = eps / 2, M = max|C| and canonical sums of n terms, to
+    first order in u: (1) two sums that compare equal differ by at most
+    2 n^2 u M exactly; (2) once d stops changing, d_j <= fl(d_i + w_ij) and
+    -2nM <= d <= 0, so a cycle of k edges weighs at least -2k (n + 1) u M
+    exactly, and a cycle of an assignment tied in floating point weighs at
+    most (4 n^2 + 2n) u M; (3) every reduced cost is at least -2n u M, so on
+    such a cycle none exceeds (6 n^2 + 2n) u M, and computing r adds at most
+    (8n + 4) u M. The sum, (6 n^2 + 10 n + 4) u M, stays below
+    tol = 4 (n + 2)^2 eps M = (8 n^2 + 32 n + 32) u M for every n >= 1, with
+    room for the higher-order terms. If d still changes after n rounds, pi is
+    not optimal in exact arithmetic and every row is flagged.
+    """
+    n = cost.shape[0]
+    held = cost[np.arange(n), indices]
+    w = held[:, None] - cost[:, indices]
+    d = np.zeros(n)
+    for _ in range(n):
+        # w has a zero diagonal, so the minimum over i already includes d[j] itself.
+        relaxed = (d[:, None] + w).min(axis=0)
+        if np.array_equal(relaxed, d):
+            break
+        d = relaxed
+    else:
+        return [np.arange(n)]
+    tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())
+    _, labels = connected_components(
+        csr_array(w + d[:, None] - d[None, :] <= tol), directed=True, connection="strong"
+    )
+    sizes = np.bincount(labels)
+    return [np.flatnonzero(labels == c) for c in np.flatnonzero(sizes > 1)]
+
+
 def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Refine an optimal assignment to the lex-smallest one of equal objective.
 
-    Greedy over rows: with rows < i fixed, re-solve rows i.. over their free
-    columns with row i barred from its current column and every larger one,
-    and adopt the result while its canonical objective still equals the
-    optimum. Comparisons are exact float equality on canonically summed
-    objectives, which detects exactly the ties that are exact in double
-    precision.
+    Only the rows of ``_tied_components`` can move, and only among their own
+    component's columns; components are independent, so each is refined on
+    its own and a cost without ties takes no sub-solve. Greedy over a
+    component's rows g, ascending: with rows < g[k] fixed, re-solve rows
+    g[k:] over their columns with row g[k] barred from its current column
+    and every larger one, and adopt the result while its canonical objective
+    over all rows still equals the optimum. Comparisons are exact float
+    equality on canonically summed objectives, which detects exactly the
+    ties that are exact in double precision.
     """
-    n = cost.shape[0]
     best = assignment_objective(cost, indices)
     current = indices.copy()
-    for i in range(n - 1):
-        free = np.sort(current[i:])
-        sub = -cost[i:, free]
-        while current[i] > free[0]:
-            sub[0, free >= current[i]] = np.inf
-            rows, cols = linear_sum_assignment(sub)
-            trial = current.copy()
-            trial[i + rows] = free[cols]
-            if assignment_objective(cost, trial) != best:
-                break
-            current = trial
+    for group in _tied_components(cost, indices):
+        for k, row in enumerate(group[:-1]):
+            rest = group[k:]
+            free = np.sort(current[rest])
+            sub = -cost[np.ix_(rest, free)]
+            while current[row] > free[0]:
+                sub[0, free >= current[row]] = np.inf
+                rows, cols = linear_sum_assignment(sub)
+                trial = current.copy()
+                trial[rest[rows]] = free[cols]
+                if assignment_objective(cost, trial) != best:
+                    break
+                current = trial
     return current
 
 

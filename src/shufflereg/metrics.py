@@ -69,8 +69,28 @@ def _gram_eigenvalues(arr: np.ndarray) -> np.ndarray:
 
 
 def _power_of_two_scale(arr: np.ndarray) -> float:
-    """The power of two just above the largest |entry|; dividing by it is exact."""
-    return math.ldexp(1.0, math.frexp(float(np.abs(arr).max()))[1])
+    """The power of two just above the largest |entry|, capped at 2**1023; dividing by it is exact."""
+    return math.ldexp(1.0, min(math.frexp(float(np.abs(arr).max()))[1], 1023))
+
+
+def _sum_of_squares(arr: np.ndarray) -> tuple[float, int]:
+    """(total, exponent) with sum of squared entries = total * 2**exponent.
+
+    The squares are taken over ``_power_of_two_scale``, so they stay in range;
+    the rescale is exact, so total * 2**exponent equals the plain sum to the
+    bit wherever that sum and its terms are normal doubles.
+    """
+    scale = _power_of_two_scale(arr)
+    scaled = arr / scale
+    return float(np.sum(scaled * scaled)), 2 * (math.frexp(scale)[1] - 1)
+
+
+def _ldexp_finite(value: float, exponent: int, what: str) -> float:
+    """value * 2**exponent, rounded as IEEE underflow rounds; ValueError when it overflows."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        raise ValueError(f"{what} overflows double precision (above about 1.8e308)") from None
 
 
 def operator_norm(b) -> float:
@@ -98,7 +118,13 @@ def stable_rank(b) -> float:
 
 
 def snr(b, m: int, sigma: float) -> float | NoiselessMarker:
-    """||B||_F^2 / (m * sigma^2); returns NOISELESS when sigma = 0."""
+    """||B||_F^2 / (m * sigma^2); returns NOISELESS when sigma = 0.
+
+    B and sigma are split into mantissa and power of two, so the squares
+    cannot over- or underflow: the value is bit-identical to the direct
+    formula where that formula stays in range, a value below the double
+    range rounds toward 0, and one above it raises ValueError.
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if sigma < 0:
@@ -106,7 +132,11 @@ def snr(b, m: int, sigma: float) -> float | NoiselessMarker:
     arr = require_matrix(b, "b")
     if sigma == 0:
         return NOISELESS
-    return float(np.sum(arr * arr)) / (m * sigma * sigma)
+    total, exponent = _sum_of_squares(arr)
+    mantissa, sigma_exponent = math.frexp(sigma)
+    return _ldexp_finite(
+        total / (m * mantissa * mantissa), exponent - 2 * sigma_exponent, f"snr at sigma={sigma:g}"
+    )
 
 
 def logdet_ratio(b, sigma: float, n: int) -> float:

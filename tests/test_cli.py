@@ -110,6 +110,16 @@ class TestSimulate:
         assert lines[0].startswith("n,p,m,h,dist,estimator,snr,")
         assert len(capsys.readouterr().err.strip().splitlines()) == 3
 
+    def test_noise_level_out_of_range_is_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        # sigma = sqrt(||B||_F^2 / (m snr)) = 1e300 / sqrt(1e-300) = 1e450.
+        cfg.write_text("n = 20\np = 2\nm = 2\nh = 0\nsignal_scale = 1e300\nsnr_grid = 1e-300\ntrials = 1\n")
+        out = tmp_path / "sweep.csv"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "overflows double precision" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(TINY_CONFIG)
@@ -211,6 +221,29 @@ class TestDiagnose:
         assert captured.out == ""
         assert "overflows" in captured.err
         assert "nan" not in captured.err
+
+    def test_snr_past_the_squared_norm_range(self, tmp_path, capsys):
+        b_path = tmp_path / "b.txt"
+        b_path.write_text("2 2\n1e154 0\n0 1e154\n")
+        code = main(["diagnose", "--b", str(b_path), "--sigma", "1", "--n", "100"])
+        assert code == 0
+        values = dict(
+            line.split(" = ") for line in capsys.readouterr().out.strip().splitlines() if " = " in line
+        )
+        # ||B||_F^2 = 2e308 overflows; ||B||_F^2 / (2 * 1^2) = 1e308 does not.
+        assert float(values["snr"]) == pytest.approx(1e308, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "text,m", [("2 2\n1e154 0\n0 1e154\n", "1"), ("1 1\n1e308\n", "1")]
+    )
+    def test_unrepresentable_snr_fails_before_printing(self, tmp_path, capsys, text, m):
+        b_path = tmp_path / "b.txt"
+        b_path.write_text(text)
+        code = main(["diagnose", "--b", str(b_path), "--sigma", "1", "--n", "100", "--m", m])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows double precision" in captured.err
 
     def test_tiny_signal_is_not_the_zero_matrix(self, tmp_path, capsys):
         b_path = tmp_path / "b.txt"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shufflereg.experiments as experiments
 from shufflereg.experiments import (
@@ -56,6 +58,18 @@ class TestSigmaForSnr:
         for target in (0.037, 1.0, 2.5e4):
             sigma = sigma_for_snr(b, 3, target)
             assert snr(b, 3, sigma) == pytest.approx(target, rel=1e-12)
+
+    def test_extreme_scales(self):
+        # The squared Frobenius norms 2e308 and 1e-340 are out of range; sigma is not.
+        assert sigma_for_snr(np.diag([1e154, 1e154]), 2, 1.0) == pytest.approx(1e154, rel=1e-15)
+        assert sigma_for_snr(np.array([[1e-170]]), 1, 1.0) == pytest.approx(1e-170, rel=1e-15)
+        assert sigma_for_snr(np.array([[1e-170]]), 1, 100.0) == pytest.approx(1e-171, rel=1e-15)
+        assert sigma_for_snr(np.ones((2, 2)), 2, math.inf) == 0.0
+
+    @pytest.mark.parametrize("b,target,match", [(1e-300, 1e300, "underflows"), (1e300, 1e-300, "overflows")])
+    def test_unrepresentable_sigma_is_rejected(self, b, target, match):
+        with pytest.raises(ValueError, match=match):
+            sigma_for_snr(np.array([[b]]), 1, target)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="positive"):
@@ -191,6 +205,30 @@ class TestRunSweep:
         serial = format_csv(run_sweep(cfg))
         threaded = format_csv(run_sweep(with_overrides(cfg, workers=4)))
         assert serial == threaded
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(4, 40),
+        p=st.integers(1, 4),
+        m=st.integers(1, 4),
+        dist=st.sampled_from([DistributionKind.GAUSSIAN, DistributionKind.RADEMACHER]),
+        master_seed=st.integers(0, 2**31),
+        data=st.data(),
+    )
+    def test_csv_bytes_do_not_depend_on_workers(self, n, p, m, dist, master_seed, data):
+        # Rademacher designs tie, so pool threads run the lexicographic tie pass.
+        cfg = ExperimentConfig(
+            n=n,
+            p=p,
+            m=m,
+            h=data.draw(st.integers(0, n).filter(lambda h: h != 1)),
+            dist=dist,
+            snr_grid=(1.0, NOISELESS),
+            trials=2,
+            master_seed=master_seed,
+        )
+        serial = format_csv(run_sweep(cfg))
+        assert format_csv(run_sweep(with_overrides(cfg, workers=3))) == serial
 
 
 class TestFailureDemo:

@@ -8,7 +8,13 @@ from scipy.optimize import linear_sum_assignment
 import shufflereg.lap
 from shufflereg.estimators import build_onestep_cost
 from shufflereg.experiments import sigma_for_snr
-from shufflereg.lap import Assignment, assignment_objective, lap_brute_force, lap_maximize
+from shufflereg.lap import (
+    Assignment,
+    _tied_components,
+    assignment_objective,
+    lap_brute_force,
+    lap_maximize,
+)
 from shufflereg.model import (
     DistributionKind,
     Permutation,
@@ -154,7 +160,7 @@ class TestTiePassAgainstReference:
         assert fast.perm == brute.perm
         assert fast.objective == brute.objective
 
-    def test_continuous_cost_takes_at_most_one_sub_solve_per_row(self, monkeypatch):
+    def test_continuous_cost_takes_one_solve(self, monkeypatch):
         calls = []
 
         def counting(matrix):
@@ -165,8 +171,30 @@ class TestTiePassAgainstReference:
         n = 64
         cost = np.random.default_rng(5).standard_normal((n, n))
         lap_maximize(cost)
-        # One full solve plus at most n - 1 restricted re-solves.
-        assert len(calls) <= n
+        # The optimum is unique, so the tie test flags no row and nothing is re-solved.
+        assert calls == [(n, n)]
+
+    @pytest.mark.parametrize("snr", [1.0, 10.0, None])
+    def test_moved_rows_stay_inside_their_tied_component(self, snr):
+        b = build_canonical_signal(8, 8, 1.0)
+        sigma = 0.0 if snr is None else sigma_for_snr(b, 8, snr)
+        for seed in range(10):
+            inst = synthesize_instance(64, 8, 8, 64, DistributionKind.RADEMACHER, b, sigma, seed)
+            cost = build_onestep_cost(inst.x, inst.y)
+            _, start = linear_sum_assignment(-cost)
+            groups = _tied_components(cost, start)
+            canonical = per_candidate_canonical(cost)
+            in_group = np.zeros(64, dtype=bool)
+            for group in groups:
+                in_group[group] = True
+                assert sorted(canonical[group]) == sorted(start[group]), seed
+            assert not np.any((canonical != start) & ~in_group), seed
+
+    def test_non_optimal_start_flags_every_row(self):
+        # The swap loses 2, so the exchange graph has a negative cycle and
+        # Bellman-Ford never settles.
+        groups = _tied_components(np.eye(3), np.array([1, 0, 2]))
+        assert [g.tolist() for g in groups] == [[0, 1, 2]]
 
 
 class TestOptimalityCertificate:

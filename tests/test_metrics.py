@@ -123,6 +123,20 @@ class TestSnr:
         assert snr(2.5 * b, 4, 0.7) == pytest.approx(2.5**2 * base)
         assert snr(b, 4, 3.0 * 0.7) == pytest.approx(base / 9.0)
 
+    def test_extreme_scales(self):
+        # ||B||_F^2 = 2e308 and m * sigma^2 = 1e-340 are out of range; the ratios are not.
+        assert snr(np.diag([1e154, 1e154]), 2, 1.0) == pytest.approx(1e308, rel=1e-15)
+        assert snr(np.array([[1e-170]]), 1, 1e-170) == pytest.approx(1.0, rel=1e-15)
+        assert snr(np.array([[1.7e308]]), 1, 1e155) == pytest.approx(2.89e306, rel=1e-15)
+
+    @pytest.mark.parametrize("b,m,sigma", [([[1.0]], 1, 1e-200), ([[1e154, 0], [0, 1e154]], 1, 1.0)])
+    def test_overflow_is_rejected(self, b, m, sigma):
+        with pytest.raises(ValueError, match="overflows double precision"):
+            snr(np.array(b), m, sigma)
+
+    def test_underflow_rounds_to_zero(self):
+        assert snr(np.array([[1e-200]]), 1, 1e10) == 0.0
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="m must be"):
             snr(np.ones((2, 2)), 0, 1.0)

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shufflereg.metrics import hamming_distance, stable_rank
 from shufflereg.model import (
@@ -119,6 +124,42 @@ class TestPermutation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="row count"):
             apply_permutation(Permutation.identity(3), np.ones((4, 2)))
+
+
+@st.composite
+def permutation_and_matrix(draw):
+    n = draw(st.integers(1, 30))
+    perm = Permutation(np.array(draw(st.permutations(range(n)))))
+    other = Permutation(np.array(draw(st.permutations(range(n)))))
+    mat = draw(hnp.arrays(np.float64, (n, draw(st.integers(1, 4))), elements=st.floats(-1e150, 1e150)))
+    return perm, other, mat
+
+
+class TestPermutationAlgebra:
+    @settings(max_examples=100, deadline=None)
+    @given(permutation_and_matrix())
+    def test_inverse_undoes_apply(self, case):
+        perm, _, mat = case
+        assert np.array_equal(apply_permutation(perm.inverse(), apply_permutation(perm, mat)), mat)
+        assert perm.inverse().inverse() == perm
+
+    @settings(max_examples=100, deadline=None)
+    @given(permutation_and_matrix())
+    def test_composition_is_sequential_application(self, case):
+        # Applying perm then other takes row i from perm(other(i)).
+        perm, other, mat = case
+        composed = Permutation(perm.indices[other.indices])
+        assert np.array_equal(
+            apply_permutation(composed, mat), apply_permutation(other, apply_permutation(perm, mat))
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(permutation_and_matrix())
+    def test_frobenius_norm_is_kept_exactly(self, case):
+        # fsum rounds the exact sum once, so it does not depend on the row order.
+        perm, _, mat = case
+        moved = apply_permutation(perm, mat)
+        assert math.fsum((moved * moved).ravel()) == math.fsum((mat * mat).ravel())
 
 
 class TestPermutationSampling:
