@@ -94,10 +94,14 @@ def least_squares_signal(x, y, perm: Permutation) -> np.ndarray:
     return solve_triangular(r, q.T @ aligned, lower=False)
 
 
-def build_onestep_cost(x, y) -> np.ndarray:
-    """n-by-n matching cost C = Y Y^T X X^T, assembled as (Y (Y^T X)) X^T."""
+def build_onestep_cost(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (Y (Y^T X), X) of the n-by-n matching cost C = Y Y^T X X^T.
+
+    C equals left @ right.T for the returned pair; ``lap_maximize`` takes the
+    pair and forms C itself, so no caller holds a second n-by-n copy.
+    """
     xa, ya = _validate_pair(x, y)
-    return (ya @ (ya.T @ xa)) @ xa.T
+    return ya @ (ya.T @ xa), xa
 
 
 def one_step_estimate(x, y) -> EstimationResult:
@@ -106,7 +110,8 @@ def one_step_estimate(x, y) -> EstimationResult:
     n, p = xa.shape
     if n < p:
         raise ValueError(f"one-step estimation needs n >= p, got n={n}, p={p}")
-    assignment = lap_maximize(build_onestep_cost(xa, ya))
+    left, right = build_onestep_cost(xa, ya)
+    assignment = lap_maximize(left, right)
     b_hat = least_squares_signal(xa, ya, assignment.perm)
     return EstimationResult(
         perm_hat=assignment.perm,
@@ -124,7 +129,7 @@ def oracle_permutation_estimate(x, y, b_true) -> Permutation:
         raise ValueError(f"b_true has {ba.shape[0]} rows but x has {xa.shape[1]} columns")
     if ba.shape[1] != ya.shape[1]:
         raise ValueError(f"b_true has {ba.shape[1]} columns but y has {ya.shape[1]}")
-    return lap_maximize(ya @ (xa @ ba).T).perm
+    return lap_maximize(ya, xa @ ba).perm
 
 
 def _residual(x: np.ndarray, y: np.ndarray, perm: Permutation, b: np.ndarray) -> float:
@@ -162,7 +167,7 @@ def alternating_minimization(
     assignment: Assignment | None = None
     b_hat = b
     for t in range(max_iters + 1):
-        assignment = lap_maximize(ya @ (xa @ b).T)
+        assignment = lap_maximize(ya, xa @ b)
         perm = assignment.perm
         b_hat = least_squares_signal(xa, ya, perm)
         trace.append(

@@ -1,24 +1,30 @@
 """Exact dense linear assignment in maximization form, plus a factorial oracle.
 
-``lap_maximize`` negates the cost matrix into a shortest-augmenting-path
-minimizer (scipy's linear_sum_assignment), which is exact and O(n^3). Ties
-between optimal assignments are broken toward the lexicographically smallest
-index map for n <= 64. The tie pass first finds, on the exchange graph of the
-solver's optimum, the rows that lie on a zero-weight cycle and so can take
-another column in some other optimum; each strongly connected group of such
-rows is then refined on its own by restricted re-solves of that group, one
-per row and repeated while it finds a tie. A cost without ties costs one
-solve and the test. Larger problems return the solver's deterministic
-optimum: cost matrices with continuous random entries have a unique optimum
-with probability one, while the test, O(n^2) per Bellman-Ford round, takes
-about twice as long as the solve itself on such costs at n = 500 and 1000.
-Objectives on both solver and oracle paths are computed by one shared
-summation routine so equality comparisons are exact.
+``lap_maximize`` takes the cost C either dense or as two thin factors with
+C = L R^T, which is how every cost in the library arises. It writes -C once,
+as (-L) R^T, and hands that one n x n buffer to a shortest-augmenting-path
+minimizer (scipy's linear_sum_assignment), which is exact and O(n^3).
+Negating the thin factor is exact, so the buffer is -C bit for bit up to the
+sign of zero entries.
+
+Ties between optimal assignments are broken toward the lexicographically
+smallest index map for n <= 64. The tie pass first finds, on the exchange
+graph of the solver's optimum, the rows that lie on a zero-weight cycle and so
+can take another column in some other optimum; each strongly connected group
+of such rows is then refined on its own by restricted re-solves of that group,
+one per row and repeated while it finds a tie. A cost without ties costs one
+solve and the test. Larger problems return the solver's deterministic optimum:
+cost matrices with continuous random entries have a unique optimum with
+probability one, while the test, O(n^2) per Bellman-Ford round, takes about
+twice as long as the solve itself on such costs at n = 500 and 1000.
+Objectives on both solver and oracle paths are the same summation of the
+entries C[i, pi(i)] in ascending row order, so equality comparisons are exact.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +55,19 @@ def assignment_objective(cost: np.ndarray, indices: np.ndarray) -> float:
     return float(np.sum(cost[np.arange(n), indices]))
 
 
-def _validate_cost(cost) -> np.ndarray:
+def _square_cost(cost) -> np.ndarray:
     arr = np.asarray(cost, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("cost matrix must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cost matrix contains NaN or infinite entries")
     return arr
+
+
+def _require_finite(arr: np.ndarray) -> None:
+    # NaN propagates through min and max, so two scalars replace an n x n mask.
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise ValueError("cost matrix contains NaN or infinite entries")
 
 
 def _tied_components(cost: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
@@ -138,23 +148,54 @@ def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray) -> np.nd
     return current
 
 
-def lap_maximize(cost) -> Assignment:
-    """Permutation maximizing sum_i C[i, pi(i)] exactly.
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
-    Raises ValueError on non-square input or non-finite entries.
+
+def lap_maximize(left, right=None) -> Assignment:
+    """Permutation maximizing sum_i C[i, pi(i)] exactly, for C = left @ right.T.
+
+    With ``right`` omitted, C = left. Given the two n-by-r factors, the dense
+    product is formed once, negated, as the only n-by-n allocation. Raises
+    ValueError before that allocation if its 8 n^2 bytes exceed physical
+    memory, and on non-square or mismatched input or non-finite entries.
     """
-    arr = _validate_cost(cost)
+    if right is None:
+        arr = _square_cost(left)
+    else:
+        arr, factor = np.asarray(left, dtype=np.float64), np.asarray(right, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape != factor.shape or arr.shape[0] == 0:
+            raise ValueError(
+                "cost factors must be non-empty n-by-r matrices of one shape, "
+                f"got {arr.shape} and {factor.shape}"
+            )
+    n = arr.shape[0]
+    need, limit = 8 * n * n, _physical_memory_bytes()
+    if need > limit:
+        raise ValueError(
+            f"assignment with n={n} needs a dense {n}x{n} cost of {need} bytes "
+            f"({need / 2**30:.3g} GiB), more than the {limit} bytes of physical memory"
+        )
+    if right is None:
+        neg = -arr
+    else:
+        # Non-finite products are reported below as a ValueError, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            neg = (-arr) @ factor.T
+    _require_finite(neg)
     instrument.record("lap_solve")
-    _, col_ind = linear_sum_assignment(-arr)
+    _, col_ind = linear_sum_assignment(neg)
     indices = col_ind.astype(np.int64)
-    if arr.shape[0] <= LEX_TIEBREAK_MAX_N:
-        indices = _lexicographically_canonical(arr, indices)
-    return Assignment(Permutation(indices), assignment_objective(arr, indices))
+    if n <= LEX_TIEBREAK_MAX_N:
+        indices = _lexicographically_canonical(-neg, indices)
+    # The gathered entries are those of C, so the sum is assignment_objective's.
+    return Assignment(Permutation(indices), float(np.sum(-neg[np.arange(n), indices])))
 
 
 def lap_brute_force(cost) -> Assignment:
     """Exhaustive maximum over all n! permutations (n <= 10), lex-first tie-break."""
-    arr = _validate_cost(cost)
+    arr = _square_cost(cost)
+    _require_finite(arr)
     n = arr.shape[0]
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N} (factorial blow-up)")

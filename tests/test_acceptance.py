@@ -186,7 +186,8 @@ def test_c08_objective_equivalence():
         m = int(rng.integers(1, 4))
         x = rng.standard_normal((n, p))
         y = rng.standard_normal((n, m))
-        argmax_perm = lap_brute_force(build_onestep_cost(x, y)).perm
+        left, right = build_onestep_cost(x, y)
+        argmax_perm = lap_brute_force(left @ right.T).perm
         proxy_rows = x @ (x.T @ y)
         distances = ((y[:, None, :] - proxy_rows[None, :, :]) ** 2).sum(axis=2)
         argmin_perm = lap_brute_force(-distances).perm

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import shufflereg.lap
 from shufflereg.cli import main
 from shufflereg.matrixio import read_matrix, read_permutation, write_matrix
 from shufflereg.model import (
@@ -80,6 +81,24 @@ class TestSolve:
         )
         assert code == 1
         assert "rows" in capsys.readouterr().err
+
+    def test_cost_larger_than_memory_fails_with_its_size(self, tmp_path, capsys, monkeypatch):
+        _, x_path, y_path = write_instance(tmp_path, n=60)
+        monkeypatch.setattr(shufflereg.lap, "_physical_memory_bytes", lambda: 8 * 60 * 60 - 1)
+        code = main(
+            [
+                "solve",
+                "--x", str(x_path),
+                "--y", str(y_path),
+                "--out-perm", str(tmp_path / "p.txt"),
+                "--out-b", str(tmp_path / "b.txt"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: assignment with n=60 needs a dense 60x60 cost of 28800 bytes")
+        assert "Traceback" not in err
+        assert not (tmp_path / "p.txt").exists()
 
     def test_underdetermined_fails(self, tmp_path):
         rng = np.random.default_rng(0)

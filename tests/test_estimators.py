@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,11 +35,12 @@ class TestBuildOnestepCost:
     def test_all_ones_rank_one(self):
         # y y^T and x x^T are both the all-ones 2x2 matrix; their product is
         # the constant matrix with entries y_i (y^T x) x_j = 2.
-        cost = build_onestep_cost([[1.0], [1.0]], [[1.0], [1.0]])
-        assert np.array_equal(cost, 2.0 * np.ones((2, 2)))
+        left, right = build_onestep_cost([[1.0], [1.0]], [[1.0], [1.0]])
+        assert np.array_equal(left @ right.T, 2.0 * np.ones((2, 2)))
 
     def test_scalar_case(self):
-        cost = build_onestep_cost([[2.0]], [[3.0]])
+        left, right = build_onestep_cost([[2.0]], [[3.0]])
+        cost = left @ right.T
         assert cost.shape == (1, 1)
         assert cost[0, 0] == pytest.approx(3.0**2 * 2.0**2)
 
@@ -46,7 +53,9 @@ class TestBuildOnestepCost:
             y = rng.standard_normal((n, m))
             dense = (y @ y.T) @ (x @ x.T)
             scale = np.abs(dense).max()
-            assert np.abs(build_onestep_cost(x, y) - dense).max() <= 1e-12 * scale
+            left, right = build_onestep_cost(x, y)
+            assert left.shape == right.shape == (n, p)
+            assert np.abs(left @ right.T - dense).max() <= 1e-12 * scale
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
@@ -77,8 +86,8 @@ class TestOneStepEstimate:
             7, 3, 3, 0, GAUSSIAN, build_canonical_signal(3, 3, 1.0), 0.0, seed=4
         )
         assert inst.perm_true.is_identity()
-        cost = build_onestep_cost(inst.x, inst.y)
-        assert lap_brute_force(cost).perm == Permutation.identity(7)
+        left, right = build_onestep_cost(inst.x, inst.y)
+        assert lap_brute_force(left @ right.T).perm == Permutation.identity(7)
         result = one_step_estimate(inst.x, inst.y)
         assert result.perm_hat == Permutation.identity(7)
         assert relative_signal_error(result.b_hat, inst.b_true) <= 1e-8
@@ -122,6 +131,39 @@ class TestOneStepEstimate:
         assert delta == {"lap_solve": 1, "ls_solve": 1}
 
 
+MEMORY_PROBE = textwrap.dedent(
+    """
+    import resource
+    import numpy as np
+    from shufflereg.estimators import one_step_estimate
+
+    n, p = 2000, 20
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, p))
+    y = x[rng.permutation(n)] @ rng.standard_normal((p, p))
+    one_step_estimate(x[:100], y[:100])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    one_step_estimate(x, y)
+    growth_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    print(1024 * growth_kib / (8 * n * n))
+    """
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the probe reads ru_maxrss in KiB, as Linux reports it")
+def test_one_step_peak_memory_is_one_dense_cost():
+    # ru_maxrss is a process-wide high-water mark, so the probe runs alone in a
+    # fresh interpreter after a small warm-up call. Holding the cost and its
+    # negated copy at once would read about 2.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) < 1.5
+
+
 class TestObjectiveEquivalence:
     def test_inner_product_argmax_equals_residual_argmin(self):
         # Relaxation identity: || Y - P X (X^T Y) ||_F is minimized exactly
@@ -135,7 +177,8 @@ class TestObjectiveEquivalence:
             m = int(rng.integers(1, 4))
             x = rng.standard_normal((n, p))
             y = rng.standard_normal((n, m))
-            argmax_perm = lap_brute_force(build_onestep_cost(x, y)).perm
+            left, right = build_onestep_cost(x, y)
+            argmax_perm = lap_brute_force(left @ right.T).perm
             proxy_rows = x @ (x.T @ y)
             distances = ((y[:, None, :] - proxy_rows[None, :, :]) ** 2).sum(axis=2)
             argmin_perm = lap_brute_force(-distances).perm

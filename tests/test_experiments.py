@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shufflereg.experiments as experiments
+import shufflereg.lap
 from shufflereg.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -168,6 +169,14 @@ class TestRunTrial:
         assert sweep.rows[0].failures == 3
         assert sweep.rows[0].recovery_rate == 0.0
         assert math.isnan(sweep.rows[0].mean_hamming)
+
+
+    def test_cost_larger_than_memory_becomes_flagged_row(self, monkeypatch):
+        cfg = small_config(trials=2)
+        monkeypatch.setattr(shufflereg.lap, "_physical_memory_bytes", lambda: 8 * cfg.n**2 - 1)
+        result = run_trial(cfg, 0, 0)
+        assert not result.ok
+        assert f"n={cfg.n} needs a dense" in result.error
 
 
 class TestRunSweep:

@@ -142,9 +142,9 @@ class TestTiePassAgainstReference:
         sigma = 0.0 if snr is None else sigma_for_snr(b, p, snr)
         for seed in range(20):
             inst = synthesize_instance(n, p, p, n, DistributionKind.RADEMACHER, b, sigma, seed)
-            cost = build_onestep_cost(inst.x, inst.y)
-            expected = per_candidate_canonical(cost)
-            assert np.array_equal(lap_maximize(cost).perm.indices, expected), seed
+            left, right = build_onestep_cost(inst.x, inst.y)
+            expected = per_candidate_canonical(left @ right.T)
+            assert np.array_equal(lap_maximize(left, right).perm.indices, expected), seed
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -180,7 +180,8 @@ class TestTiePassAgainstReference:
         sigma = 0.0 if snr is None else sigma_for_snr(b, 8, snr)
         for seed in range(10):
             inst = synthesize_instance(64, 8, 8, 64, DistributionKind.RADEMACHER, b, sigma, seed)
-            cost = build_onestep_cost(inst.x, inst.y)
+            left, right = build_onestep_cost(inst.x, inst.y)
+            cost = left @ right.T
             _, start = linear_sum_assignment(-cost)
             groups = _tied_components(cost, start)
             canonical = per_candidate_canonical(cost)
@@ -195,6 +196,64 @@ class TestTiePassAgainstReference:
         # Bellman-Ford never settles.
         groups = _tied_components(np.eye(3), np.array([1, 0, 2]))
         assert [g.tolist() for g in groups] == [[0, 1, 2]]
+
+
+@st.composite
+def small_integer_factors(draw):
+    """Two n-by-r factors with entries in {-2..2}; their product has exact ties."""
+    n, r = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    factor = hnp.arrays(np.float64, (n, r), elements=st.integers(-2, 2).map(float))
+    return draw(factor), draw(factor)
+
+
+class TestFactorForm:
+    @settings(max_examples=200, deadline=None)
+    @given(small_integer_factors())
+    def test_small_integer_factors_match_dense_and_brute_force(self, factors):
+        left, right = factors
+        cost = left @ right.T
+        factored = lap_maximize(left, right)
+        for other in (lap_maximize(cost), lap_brute_force(cost)):
+            assert factored.perm == other.perm
+            assert factored.objective == other.objective
+
+    @pytest.mark.parametrize("n", [64, 65, 300])
+    def test_gaussian_factors_match_dense(self, n):
+        rng = np.random.default_rng(n)
+        left, right = rng.standard_normal((2, n, 5))
+        factored = lap_maximize(left, right)
+        dense = lap_maximize(left @ right.T)
+        assert factored.perm == dense.perm
+        assert factored.objective == dense.objective
+
+    def test_mismatched_factors_rejected(self):
+        with pytest.raises(ValueError, match="one shape"):
+            lap_maximize(np.ones((4, 2)), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="one shape"):
+            lap_maximize(np.ones((4, 2)), np.ones((4, 3)))
+        with pytest.raises(ValueError, match="non-empty"):
+            lap_maximize(np.ones((0, 2)), np.ones((0, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_product_rejected(self, bad):
+        left = np.ones((3, 2))
+        left[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            lap_maximize(left, np.full((3, 2), 1e200))
+
+
+class TestSizeGuard:
+    def test_cost_larger_than_memory_is_refused_before_solving(self, monkeypatch):
+        n = 5
+        monkeypatch.setattr(shufflereg.lap, "_physical_memory_bytes", lambda: 8 * n * n - 1)
+        monkeypatch.setattr(shufflereg.lap, "linear_sum_assignment", None)
+        for args in ((np.ones((n, n)),), (np.ones((n, 2)), np.ones((n, 2)))):
+            with pytest.raises(ValueError, match=f"n={n} needs a dense {n}x{n} cost of {8 * n * n} bytes"):
+                lap_maximize(*args)
+
+    def test_cost_that_fits_exactly_is_solved(self, monkeypatch):
+        monkeypatch.setattr(shufflereg.lap, "_physical_memory_bytes", lambda: 8 * 3 * 3)
+        assert lap_maximize(np.eye(3)).perm == Permutation.identity(3)
 
 
 class TestOptimalityCertificate:
