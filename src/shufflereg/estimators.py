@@ -98,10 +98,16 @@ def build_onestep_cost(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Factors (Y (Y^T X), X) of the n-by-n matching cost C = Y Y^T X X^T.
 
     C equals left @ right.T for the returned pair; ``lap_maximize`` takes the
-    pair and forms C itself, so no caller holds a second n-by-n copy.
+    pair and forms C itself, so no caller holds a second n-by-n copy. Raises
+    ValueError when finite inputs give a non-finite Y (Y^T X).
     """
     xa, ya = _validate_pair(x, y)
-    return ya @ (ya.T @ xa), xa
+    # Overflow is reported below as a ValueError, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = ya @ (ya.T @ xa)
+    if not np.all(np.isfinite(left)):
+        raise ValueError("one-step cost factor Y (Y^T X) overflows float64")
+    return left, xa
 
 
 def one_step_estimate(x, y) -> EstimationResult:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,6 +36,16 @@ def write_instance(tmp_path, *, n=60, p=6, m=6, h=0, sigma=0.0, seed=1):
     write_matrix(inst.x, x_path)
     write_matrix(inst.y, y_path)
     return inst, x_path, y_path
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, so stderr holds whatever a user would see."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "shufflereg.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 class TestSolve:
@@ -99,6 +114,28 @@ class TestSolve:
         assert err.startswith("error: assignment with n=60 needs a dense 60x60 cost of 28800 bytes")
         assert "Traceback" not in err
         assert not (tmp_path / "p.txt").exists()
+
+    def test_overflowing_cost_factor_fails_without_warning(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x_path, y_path = tmp_path / "x.txt", tmp_path / "y.txt"
+        # Finite inputs: Y^T X is about 1e221, Y (Y^T X) about 1e331.
+        write_matrix(rng.standard_normal((20, 2)) * 1e110, x_path)
+        write_matrix(rng.standard_normal((20, 2)) * 1e110, y_path)
+        out = run_cli("solve", "--x", x_path, "--y", y_path,
+                      "--out-perm", tmp_path / "p.txt", "--out-b", tmp_path / "b.txt")
+        assert out.returncode == 1
+        assert out.stderr == "error: one-step cost factor Y (Y^T X) overflows float64\n"
+        assert "Warning" not in out.stderr
+
+    def test_non_ascii_input_names_path(self, tmp_path):
+        _, x_path, y_path = write_instance(tmp_path)
+        y_path.write_bytes(b"60 6\n\xd9" + y_path.read_bytes().split(b"\n", 1)[1])
+        out = run_cli("solve", "--x", x_path, "--y", y_path,
+                      "--out-perm", tmp_path / "p.txt", "--out-b", tmp_path / "b.txt")
+        assert out.returncode == 1
+        assert out.stderr.startswith(f"error: {y_path}: non-ASCII byte 0xd9")
+        assert "Warning" not in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_underdetermined_fails(self, tmp_path):
         rng = np.random.default_rng(0)

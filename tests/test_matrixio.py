@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,65 @@ def test_malformed_files_rejected_with_path(tmp_path, content, match):
     with pytest.raises(ValueError, match=match) as err:
         read_matrix(path)
     assert "bad.txt" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ("2 2\n\n1 2\n", "row 0 has 0 entries, expected 2"),
+        ("3 2\n1 2\n\n3 4\n", "row 1 has 0 entries, expected 2"),
+        ("2 2\n1 2\n\n", "row 1 has 0 entries, expected 2"),
+        ("3 2\n1 2\n3 4\n5\n", "row 2 has 1 entries, expected 2"),
+        ("2 2\n1 2 3\n4 5 6\n", "row 0 has 3 entries, expected 2"),
+        ("2 2\n1 2\n# 3\n", "row 1 contains a non-numeric token"),
+        ("1 2\n1 #\n", "row 0 contains a non-numeric token"),
+        ("2 1\n1\n1_0\n", "row 1 contains a non-numeric token"),
+        ("2 2\n", "file ends after 0 of 2 data rows"),
+    ],
+)
+def test_row_errors_name_the_row_and_do_not_warn(tmp_path, content, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            read_matrix(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_crlf_line_ends_are_accepted(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"2 2\r\n1.5 -2\r\n0 3.25\r\n")
+    assert np.array_equal(read_matrix(path), [[1.5, -2.0], [0.0, 3.25]])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1)])
+def test_single_row_and_single_column_round_trip(tmp_path, shape):
+    mat = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) / 3
+    path = tmp_path / "m.txt"
+    write_matrix(mat, path)
+    back = read_matrix(path)
+    assert back.shape == shape
+    assert np.array_equal(back, mat)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"2 1\n1\n\xd9\n",
+        # Past the first decoded chunk, so the error surfaces inside the bulk parse.
+        b"5000 1\n" + b"1.5\n" * 4000 + b"\xd9\n" + b"1.5\n" * 999,
+        b"5000 1\n" + b"1.5\n" * 5000 + b"\xd9\n",
+    ],
+    ids=["first-chunk", "in-rows", "trailing"],
+)
+def test_non_ascii_byte_is_a_value_error_with_path(tmp_path, content):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match="non-ASCII byte 0xd9") as err:
+        read_matrix(path)
+    assert not isinstance(err.value, UnicodeDecodeError)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_permutation_round_trip(tmp_path):
