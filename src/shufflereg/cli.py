@@ -150,7 +150,7 @@ def cmd_diagnose(args) -> int:
         print("snr = noiseless")
         print("logdet = noiseless")
         return EXIT_OK
-    print(f"snr = {float(ratio):.12g}")
+    print(f"snr = {ratio:.12g}")
     print(f"logdet = {logdet:.12g}")
     print(f"logdet_over_log_n = {logdet / math.log(args.n):.12g}")
     if logdet < threshold:

@@ -13,8 +13,10 @@ CSV columns (fixed order)::
     n,p,m,h,dist,estimator,snr,sigma,logdet_ratio,recovery_rate,
     mean_hamming,mean_rel_b_error,trials,seed
 
-Floats carry 12 significant digits; the noiseless grid point writes the
-literal ``inf`` for snr and logdet_ratio.
+The noiseless grid point is SNR = +inf (sigma = 0): every +inf in ``snr_grid``
+becomes ``metrics.NOISELESS``, so ``inf`` in a config is an alias of
+``noiseless``. Floats carry 12 significant digits; the noiseless point writes
+the literal ``inf`` for snr and logdet_ratio.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .estimators import (
 )
 from .metrics import (
     NOISELESS,
-    NoiselessMarker,
     _ldexp_finite,
     _sum_of_squares,
     hamming_distance,
@@ -112,10 +113,6 @@ def sigma_for_snr(b, m: int, target_snr: float) -> float:
     return sigma
 
 
-def _snr_key(value) -> float:
-    return math.inf if isinstance(value, NoiselessMarker) else float(value)
-
-
 # Recovery phase transitions span orders of magnitude, so the default grid is
 # logarithmically spaced with a noiseless endpoint.
 DEFAULT_SNR_GRID = tuple(float(v) for v in np.logspace(-2, 2, 9)) + (NOISELESS,)
@@ -151,14 +148,13 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        grid = tuple(self.snr_grid)
+        grid = tuple(NOISELESS if v == math.inf else v for v in self.snr_grid)
         if not grid:
             raise ConfigError("snr_grid must be non-empty")
         for v in grid:
-            if not isinstance(v, NoiselessMarker) and not float(v) > 0:
+            if not float(v) > 0:
                 raise ConfigError(f"snr values must be positive, got {v!r}")
-        keys = [_snr_key(v) for v in grid]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
+        if any(float(a) >= float(b) for a, b in zip(grid, grid[1:])):
             raise ConfigError("snr_grid must be strictly ascending (noiseless last)")
         parse_estimator(self.estimator)
         object.__setattr__(self, "snr_grid", grid)
@@ -169,15 +165,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    exact: bool
     hamming: int
     rel_b_error: float
     ok: bool = True
     error: str = ""
 
-    def __post_init__(self) -> None:
-        if self.ok and self.exact != (self.hamming == 0):
-            raise ValueError("exact flag must agree with hamming == 0")
+    @property
+    def exact(self) -> bool:
+        return self.ok and self.hamming == 0
 
 
 @dataclass(frozen=True)
@@ -188,7 +183,7 @@ class SweepRow:
     h: int
     dist: str
     estimator: str
-    snr: float | NoiselessMarker
+    snr: float
     sigma: float
     logdet_ratio: float
     recovery_rate: float
@@ -206,13 +201,8 @@ class SweepResult:
 
 def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> TrialResult:
     """One synthesized instance at a grid point; failures become flagged rows."""
-    snr_point = config.snr_grid[grid_index]
     b_true = config.signal_matrix()
-    sigma = (
-        0.0
-        if isinstance(snr_point, NoiselessMarker)
-        else sigma_for_snr(b_true, config.m, snr_point)
-    )
+    sigma = sigma_for_snr(b_true, config.m, config.snr_grid[grid_index])
     seed = derive_seed(config.master_seed, grid_index, trial_index)
     inst = synthesize_instance(
         config.n, config.p, config.m, config.h, config.dist, b_true, sigma, seed
@@ -229,11 +219,9 @@ def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> Tr
             alt = alternating_minimization(inst.x, inst.y, max_iters=alt_iters)
             perm_hat, b_hat = alt.perm_hat, alt.b_hat
     except (ValueError, np.linalg.LinAlgError) as exc:
-        return TrialResult(exact=False, hamming=0, rel_b_error=math.nan, ok=False, error=str(exc))
-    hamming = hamming_distance(perm_hat, inst.perm_true)
+        return TrialResult(hamming=0, rel_b_error=math.nan, ok=False, error=str(exc))
     return TrialResult(
-        exact=hamming == 0,
-        hamming=hamming,
+        hamming=hamming_distance(perm_hat, inst.perm_true),
         rel_b_error=relative_signal_error(b_hat, inst.b_true),
     )
 
@@ -248,11 +236,9 @@ def _aggregate(config: ExperimentConfig, grid_index: int, results: Sequence[Tria
     """
     snr_point = config.snr_grid[grid_index]
     b_true = config.signal_matrix()
-    noiseless = isinstance(snr_point, NoiselessMarker)
-    sigma = 0.0 if noiseless else sigma_for_snr(b_true, config.m, snr_point)
-    ld_ratio = math.inf if noiseless else logdet_ratio(b_true, sigma, config.n)
+    sigma = sigma_for_snr(b_true, config.m, snr_point)
+    ld_ratio = logdet_ratio(b_true, sigma, config.n) if sigma > 0 else math.inf
     good = [r for r in results if r.ok]
-    exact_count = sum(r.exact for r in good)
     mean_hamming = float(np.mean([r.hamming for r in good])) if good else math.nan
     mean_rel = float(np.mean([r.rel_b_error for r in good])) if good else math.nan
     return SweepRow(
@@ -265,7 +251,7 @@ def _aggregate(config: ExperimentConfig, grid_index: int, results: Sequence[Tria
         snr=snr_point,
         sigma=sigma,
         logdet_ratio=ld_ratio,
-        recovery_rate=exact_count / config.trials,
+        recovery_rate=sum(r.exact for r in results) / config.trials,
         mean_hamming=mean_hamming,
         mean_rel_b_error=mean_rel,
         trials=config.trials,
@@ -322,8 +308,6 @@ def reproduce_failure_demo(n: int, max_iters: int, seed: int):
 
 
 def _format_value(value) -> str:
-    if isinstance(value, NoiselessMarker):
-        return "inf"
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):

@@ -64,10 +64,12 @@ def _square_cost(cost) -> np.ndarray:
     return arr
 
 
-def _require_finite(arr: np.ndarray) -> None:
+def _require_finite(
+    arr: np.ndarray, message: str = "cost matrix contains NaN or infinite entries"
+) -> None:
     # NaN propagates through min and max, so two scalars replace an n x n mask.
     if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise ValueError("cost matrix contains NaN or infinite entries")
+        raise ValueError(message)
 
 
 def _tied_components(cost: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
@@ -158,7 +160,8 @@ def lap_maximize(left, right=None) -> Assignment:
     With ``right`` omitted, C = left. Given the two n-by-r factors, the dense
     product is formed once, negated, as the only n-by-n allocation. Raises
     ValueError before that allocation if its 8 n^2 bytes exceed physical
-    memory, and on non-square or mismatched input or non-finite entries.
+    memory, on non-square or mismatched input or non-finite entries, and when
+    finite factors have a product that overflows float64.
     """
     if right is None:
         arr = _square_cost(left)
@@ -178,11 +181,18 @@ def lap_maximize(left, right=None) -> Assignment:
         )
     if right is None:
         neg = -arr
+        _require_finite(neg)
     else:
-        # Non-finite products are reported below as a ValueError, not as a warning.
+        for f in (arr, factor):
+            _require_finite(f, "cost factors contain NaN or infinite entries")
+        # Overflow is reported below as a ValueError, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             neg = (-arr) @ factor.T
-    _require_finite(neg)
+        _require_finite(
+            neg,
+            "cost matrix left @ right.T has NaN or infinite entries: the product of "
+            "finite factors overflows float64 (above about 1.8e308); rescale the inputs",
+        )
     instrument.record("lap_solve")
     _, col_ind = linear_sum_assignment(neg)
     indices = col_ind.astype(np.int64)

@@ -57,12 +57,16 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
             if fh.read().strip():
                 raise ValueError(f"{path}: unexpected trailing content after {rows} rows")
     except UnicodeDecodeError as exc:
-        raise ValueError(
-            f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x}; matrix files are ASCII text"
-        ) from None
+        raise _non_ascii_error(path, exc, "matrix") from None
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: matrix contains non-finite entries")
     return data
+
+
+def _non_ascii_error(path, exc: UnicodeDecodeError, kind: str) -> ValueError:
+    return ValueError(
+        f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x}; {kind} files are ASCII text"
+    )
 
 
 def _read_header(fh, path) -> tuple[int, int]:
@@ -118,8 +122,11 @@ def write_permutation(perm: Permutation, path: str | os.PathLike) -> None:
 
 
 def read_permutation(path: str | os.PathLike) -> Permutation:
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            tokens = fh.read().split()
+    except UnicodeDecodeError as exc:
+        raise _non_ascii_error(path, exc, "permutation") from None
     try:
         indices = np.array([int(tok) for tok in tokens], dtype=np.int64)
     except ValueError:

@@ -1,9 +1,9 @@
 """Scalar diagnostics: Hamming distance, stable rank, SNR, log-det ratio,
 relative signal error, and difficulty-regime classification.
 
-SNR is defined as ||B||_F^2 / (m * sigma^2). The noiseless case (sigma = 0) is
-represented by the distinguished ``NOISELESS`` marker, which compares greater
-than any finite value, rather than by an infinite float.
+SNR is defined as ||B||_F^2 / (m * sigma^2), so the noiseless case (sigma = 0)
+is SNR = +inf. It is the float ``NOISELESS``, which equals, hashes and orders
+as ``math.inf`` and differs only in its repr, ``noiseless``.
 """
 
 from __future__ import annotations
@@ -17,42 +17,14 @@ import numpy as np
 from .model import Permutation, require_matrix
 
 
-class NoiselessMarker:
-    """Singleton standing in for sigma = 0; larger than every finite SNR."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+class NoiselessMarker(float):
+    """The SNR at sigma = 0: +inf as a float, written ``noiseless`` by repr."""
 
     def __repr__(self) -> str:
         return "noiseless"
 
-    def __float__(self) -> float:
-        return math.inf
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NoiselessMarker)
-
-    def __hash__(self) -> int:
-        return hash("noiseless-marker")
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, NoiselessMarker)
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, NoiselessMarker)
-
-
-NOISELESS = NoiselessMarker()
+NOISELESS = NoiselessMarker(math.inf)
 
 
 def hamming_distance(a: Permutation, b: Permutation) -> int:
@@ -117,7 +89,7 @@ def stable_rank(b) -> float:
     return fro_sq / (op * op)
 
 
-def snr(b, m: int, sigma: float) -> float | NoiselessMarker:
+def snr(b, m: int, sigma: float) -> float:
     """||B||_F^2 / (m * sigma^2); returns NOISELESS when sigma = 0.
 
     B and sigma are split into mantissa and power of two, so the squares

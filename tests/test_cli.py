@@ -127,6 +127,19 @@ class TestSolve:
         assert out.stderr == "error: one-step cost factor Y (Y^T X) overflows float64\n"
         assert "Warning" not in out.stderr
 
+    def test_overflowing_cost_product_fails_without_warning(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x_path, y_path = tmp_path / "x.txt", tmp_path / "y.txt"
+        # Y (Y^T X) is about 1e155 and X about 1e154, so only C = Y Y^T X X^T overflows.
+        write_matrix(rng.standard_normal((20, 2)) * 1e154, x_path)
+        write_matrix(rng.standard_normal((20, 2)), y_path)
+        out = run_cli("solve", "--x", x_path, "--y", y_path,
+                      "--out-perm", tmp_path / "p.txt", "--out-b", tmp_path / "b.txt")
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: cost matrix left @ right.T has NaN or infinite")
+        assert "finite factors overflows float64" in out.stderr
+        assert "Warning" not in out.stderr
+
     def test_non_ascii_input_names_path(self, tmp_path):
         _, x_path, y_path = write_instance(tmp_path)
         y_path.write_bytes(b"60 6\n\xd9" + y_path.read_bytes().split(b"\n", 1)[1])
@@ -165,6 +178,16 @@ class TestSimulate:
         assert len(lines) == 4  # header + 3 grid points
         assert lines[0].startswith("n,p,m,h,dist,estimator,snr,")
         assert len(capsys.readouterr().err.strip().splitlines()) == 3
+
+    def test_inf_grid_point_is_the_noiseless_point(self, tmp_path, capsys):
+        outs = {}
+        for token in ("noiseless", "inf"):
+            cfg = tmp_path / f"{token}.txt"
+            cfg.write_text(TINY_CONFIG.replace("noiseless", token))
+            outs[token] = tmp_path / f"{token}.csv"
+            assert main(["simulate", "--config", str(cfg), "--out", str(outs[token])]) == 0
+            assert capsys.readouterr().err.splitlines()[-1].startswith("snr=noiseless sigma=0 ")
+        assert outs["inf"].read_bytes() == outs["noiseless"].read_bytes()
 
     def test_noise_level_out_of_range_is_runtime_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

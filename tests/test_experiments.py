@@ -146,8 +146,11 @@ class TestRunTrial:
         assert all(r == pytest.approx(ratios[0]) for r in ratios)
         assert cfg.snr_grid[-1] is NOISELESS
 
-    def test_exact_iff_zero_hamming_enforced(self):
-        with pytest.raises(ValueError, match="exact flag"):
+    def test_exact_is_derived_from_ok_and_hamming(self):
+        assert TrialResult(hamming=0, rel_b_error=0.0).exact
+        assert not TrialResult(hamming=3, rel_b_error=0.0).exact
+        assert not TrialResult(hamming=0, rel_b_error=math.nan, ok=False, error="x").exact
+        with pytest.raises(TypeError):
             TrialResult(exact=True, hamming=3, rel_b_error=0.0)
 
     def test_estimator_dispatch(self):
@@ -274,6 +277,11 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + len(result.rows)
 
+    def test_float_inf_grid_point_writes_the_noiseless_row(self):
+        as_inf = format_csv(run_sweep(small_config(snr_grid=(1.0, math.inf), trials=3)))
+        as_marker = format_csv(run_sweep(small_config(snr_grid=(1.0, NOISELESS), trials=3)))
+        assert as_inf == as_marker
+
     def test_noiseless_row_writes_inf(self, tmp_path):
         cfg = small_config(trials=2)
         result = run_sweep(cfg)
@@ -340,6 +348,11 @@ class TestConfigParsing:
         )
         assert cfg.snr_grid[:4] == pytest.approx((0.01, 0.1, 1.0, 10.0))
         assert cfg.snr_grid[4] is NOISELESS
+
+    def test_inf_is_an_alias_of_noiseless(self):
+        cfg = parse_config_text("n=40\np=4\nm=4\nh=8\ntrials=2\nsnr_grid = 1, inf\n")
+        assert cfg.snr_grid == (1.0, NOISELESS)
+        assert cfg.snr_grid[1] is NOISELESS
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="unknown config key: snr_gird"):

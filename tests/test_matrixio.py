@@ -147,6 +147,15 @@ def test_permutation_round_trip(tmp_path):
     assert read_permutation(path) == perm
 
 
+def test_non_ascii_permutation_file_is_a_value_error_with_path(tmp_path):
+    path = tmp_path / "perm.txt"
+    path.write_bytes(b"0\n\xd9\n")
+    with pytest.raises(ValueError, match="non-ASCII byte 0xd9") as err:
+        read_permutation(path)
+    assert not isinstance(err.value, UnicodeDecodeError)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_permutation_file_validation(tmp_path):
     path = tmp_path / "perm.txt"
     path.write_text("0\n0\n1\n")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from shufflereg.experiments import sigma_for_snr
 from shufflereg.metrics import (
     NOISELESS,
     NoiselessMarker,
@@ -115,6 +116,11 @@ class TestSnr:
         assert not (marker < 1e300)
         assert marker >= marker and marker <= marker
         assert float(marker) == math.inf
+        # The marker is +inf itself: same value, hash and formatting, own repr.
+        assert marker == math.inf and hash(marker) == hash(math.inf)
+        assert repr(marker) == "noiseless"
+        assert f"{marker:.6g}" == "inf"
+        assert sigma_for_snr(np.ones((2, 2)), 2, marker) == 0.0
 
     def test_scaling_laws(self):
         rng = np.random.default_rng(4)
