@@ -15,6 +15,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .estimators import RankDeficiencyError, one_step_estimate
 from .experiments import (
     ConfigError,
@@ -106,7 +108,11 @@ def cmd_demo_failure(args) -> int:
         return _fail(f"demo needs n >= 100, got {args.n}", EXIT_USAGE)
     if args.iters < 0:
         return _fail(f"iters must be >= 0, got {args.iters}", EXIT_USAGE)
-    trace = reproduce_failure_demo(args.n, args.iters, args.seed)
+    try:
+        trace = reproduce_failure_demo(args.n, args.iters, args.seed)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        # A dense cost larger than physical memory, or a least-squares failure.
+        return _fail(str(exc), EXIT_RUNTIME)
     try:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write("iteration,hamming,residual\n")

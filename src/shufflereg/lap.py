@@ -10,13 +10,17 @@ sign of zero entries.
 Ties between optimal assignments are broken toward the lexicographically
 smallest index map for n <= 64. The tie pass first finds, on the exchange
 graph of the solver's optimum, the rows that lie on a zero-weight cycle and so
-can take another column in some other optimum; each strongly connected group
-of such rows is then refined on its own by restricted re-solves of that group,
-one per row and repeated while it finds a tie. A cost without ties costs one
-solve and the test. Larger problems return the solver's deterministic optimum:
-cost matrices with continuous random entries have a unique optimum with
-probability one, while the test, O(n^2) per Bellman-Ford round, takes about
-twice as long as the solve itself on such costs at n = 500 and 1000.
+can take another column in some other optimum: a Bellman-Ford that relaxes
+only from the rows changed in the round before, then a boolean transitive
+closure of the tight edges. Each strongly connected group of such rows is
+then refined on its own. It first tries its columns in ascending order, which
+settles most groups with no solve at all; only if that arrangement is not
+tied does it run restricted re-solves of the group, one per row and repeated
+while they find a tie. A cost without ties costs one solve and the test.
+Larger problems return the solver's deterministic optimum: cost matrices with
+continuous random entries have a unique optimum with probability one, while
+the test, O(n^2) per Bellman-Ford round, costs more than the solve itself on
+such costs at n = 500 and 1000.
 Objectives on both solver and oracle paths are the same summation of the
 entries C[i, pi(i)] in ascending row order, so equality comparisons are exact.
 """
@@ -29,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from . import instrument
 from .model import Permutation
@@ -86,6 +88,17 @@ def _tied_components(cost: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
     strongly connected component of the edges with r <= tol. Rows outside
     every component of size > 1 hold the same column in every optimum.
 
+    Bellman-Ford starts from the first round, d = min_i w[i, :], and each
+    later round relaxes only from the rows whose potential the round before
+    changed: an unchanged row offers every column the sum it offered then.
+    The rounds therefore give the potentials of a full relaxation bit for
+    bit, within the same n rounds. The components are read off a boolean
+    transitive closure, by repeated squaring, of the tight edges among the
+    rows that have a tight edge both in and out (the diagonal is always
+    tight and does not count): i and j share a component iff each reaches
+    the other. That is O(k^3 log k) in the k such rows, cheap at the sizes
+    the tie pass runs but not a bound that scales to a dense solve's n.
+
     ``tol`` bounds roundoff, so a row may be flagged in error but never
     missed. With u = eps / 2, M = max|C| and canonical sums of n terms, to
     first order in u: (1) two sums that compare equal differ by at most
@@ -102,21 +115,36 @@ def _tied_components(cost: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
     n = cost.shape[0]
     held = cost[np.arange(n), indices]
     w = held[:, None] - cost[:, indices]
-    d = np.zeros(n)
-    for _ in range(n):
-        # w has a zero diagonal, so the minimum over i already includes d[j] itself.
-        relaxed = (d[:, None] + w).min(axis=0)
-        if np.array_equal(relaxed, d):
+    # w has a zero diagonal, so d <= 0 and the rows below zero are the ones that changed.
+    d = w.min(axis=0)
+    changed = np.flatnonzero(d)
+    for _ in range(n - 1):
+        if not changed.size:
             break
-        d = relaxed
-    else:
+        offers = w[changed]
+        offers += d[changed, None]
+        relaxed = offers.min(axis=0)
+        changed = np.flatnonzero(relaxed < d)
+        d[changed] = relaxed[changed]
+    if changed.size:
         return [np.arange(n)]
     tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())
-    _, labels = connected_components(
-        csr_array(w + d[:, None] - d[None, :] <= tol), directed=True, connection="strong"
+    tight = w + d[:, None] - d[None, :] <= tol
+    linked = np.flatnonzero((tight.sum(axis=0) > 1) & (tight.sum(axis=1) > 1))
+    if not linked.size:
+        return []
+    reach = tight[np.ix_(linked, linked)]
+    while True:
+        as_float = reach.astype(np.float64)
+        wider = as_float @ as_float > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    mutual = reach & reach.T
+    leaders = np.flatnonzero(
+        (mutual.argmax(axis=1) == np.arange(linked.size)) & (mutual.sum(axis=1) > 1)
     )
-    sizes = np.bincount(labels)
-    return [np.flatnonzero(labels == c) for c in np.flatnonzero(sizes > 1)]
+    return [linked[mutual[i]] for i in leaders]
 
 
 def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -124,29 +152,45 @@ def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray) -> np.nd
 
     Only the rows of ``_tied_components`` can move, and only among their own
     component's columns; components are independent, so each is refined on
-    its own and a cost without ties takes no sub-solve. Greedy over a
-    component's rows g, ascending: with rows < g[k] fixed, re-solve rows
-    g[k:] over their columns with row g[k] barred from its current column
-    and every larger one, and adopt the result while its canonical objective
-    over all rows still equals the optimum. Comparisons are exact float
-    equality on canonically summed objectives, which detects exactly the
-    ties that are exact in double precision.
+    its own and a cost without ties takes no sub-solve. A component's rows g
+    first try its columns in ascending order, the one arrangement of them
+    that no other beats lexicographically, and keep it if the canonical
+    objective over all rows still equals the optimum. Otherwise the greedy
+    runs over g, ascending: with rows < g[k] fixed, re-solve rows g[k:] over
+    their columns with row g[k] barred from its current column and every
+    larger one, and adopt the result while the objective still equals the
+    optimum. Comparisons are exact float equality on canonically summed
+    objectives, which detects exactly the ties that are exact in double
+    precision.
     """
-    best = assignment_objective(cost, indices)
+    # Every objective below is assignment_objective's canonical sum, written out inline.
+    rows = np.arange(cost.shape[0])
+    best = float(np.sum(cost[rows, indices]))
     current = indices.copy()
     for group in _tied_components(cost, indices):
-        for k, row in enumerate(group[:-1]):
-            rest = group[k:]
-            free = np.sort(current[rest])
-            sub = -cost[np.ix_(rest, free)]
-            while current[row] > free[0]:
-                sub[0, free >= current[row]] = np.inf
-                rows, cols = linear_sum_assignment(sub)
-                trial = current.copy()
-                trial[rest[rows]] = free[cols]
-                if assignment_objective(cost, trial) != best:
+        trial = current.copy()
+        cols = trial[group] = np.sort(current[group])
+        if float(np.sum(cost[rows, trial])) == best:
+            current = trial
+            continue
+        # Positions in cols of each row's column; the greedy only permutes them.
+        held = np.searchsorted(cols, current[group])
+        neg = -cost[group[:, None], cols]
+        for k in range(group.size - 1):
+            free = np.sort(held[k:])
+            if held[k] == free[0]:
+                continue
+            sub = neg[k:, free]
+            while held[k] > free[0]:
+                sub[0, free >= held[k]] = np.inf
+                _, picked = linear_sum_assignment(sub)
+                moved = held.copy()
+                moved[k:] = free[picked]
+                trial[group] = cols[moved]
+                if float(np.sum(cost[rows, trial])) != best:
                     break
-                current = trial
+                held = moved
+        current[group] = cols[held]
     return current
 
 

@@ -23,6 +23,10 @@ class NoiselessMarker(float):
     def __repr__(self) -> str:
         return "noiseless"
 
+    def __reduce__(self) -> str:
+        # copy and pickle return the module-level singleton, so `is NOISELESS` survives them.
+        return "NOISELESS"
+
 
 NOISELESS = NoiselessMarker(math.inf)
 

@@ -252,6 +252,24 @@ class TestDemoFailure:
     def test_small_n_is_usage_error(self, tmp_path):
         assert main(["demo-failure", "--n", "50", "--out", str(tmp_path / "t.csv")]) == 2
 
+    def test_cost_larger_than_memory_fails_with_its_size(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(shufflereg.lap, "_physical_memory_bytes", lambda: 8 * 150 * 150 - 1)
+        out = tmp_path / "t.csv"
+        assert main(["demo-failure", "--n", "150", "--iters", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: assignment with n=150 needs a dense 150x150 cost of 180000 bytes")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_too_large_n_exits_1_without_traceback(self, tmp_path):
+        # 8 n^2 bytes is over a terabyte at this n, so the size guard refuses it on any host.
+        out = tmp_path / "t.csv"
+        proc = run_cli("demo-failure", "--n", "400000", "--iters", "0", "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: assignment with n=400000 needs a dense 400000x400000 cost")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_same_seed_reproduces_trace(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["demo-failure", "--n", "120", "--iters", "3", "--seed", "5", "--out", str(out1)])

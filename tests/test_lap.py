@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 import shufflereg.lap
 from shufflereg.estimators import build_onestep_cost
@@ -132,19 +134,109 @@ def per_candidate_canonical(cost):
     return current
 
 
+def rademacher_one_step_factors(n, p, snr, seed):
+    """One-step cost factors of a fully shuffled Rademacher instance; snr None is noiseless."""
+    b = build_canonical_signal(p, p, 1.0)
+    sigma = 0.0 if snr is None else sigma_for_snr(b, p, snr)
+    inst = synthesize_instance(n, p, p, n, DistributionKind.RADEMACHER, b, sigma, seed)
+    return build_onestep_cost(inst.x, inst.y)
+
+
+def count_solves(monkeypatch):
+    """Shapes of every linear_sum_assignment call the lap module makes from now on."""
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return linear_sum_assignment(matrix)
+
+    monkeypatch.setattr(shufflereg.lap, "linear_sum_assignment", counting)
+    return calls
+
+
+def strong_component_groups(cost, indices):
+    """Reference tie test: full Bellman-Ford rounds, then scipy's strong components.
+
+    Same exchange graph, potentials and tolerance as ``_tied_components``.
+    """
+    n = cost.shape[0]
+    w = cost[np.arange(n), indices][:, None] - cost[:, indices]
+    d = np.zeros(n)
+    for _ in range(n):
+        relaxed = (d[:, None] + w).min(axis=0)
+        if np.array_equal(relaxed, d):
+            break
+        d = relaxed
+    else:
+        return [list(range(n))]
+    tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())
+    tight = csr_array(w + d[:, None] - d[None, :] <= tol)
+    _, labels = connected_components(tight, directed=True, connection="strong")
+    groups = [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
+    return sorted(g for g in groups if len(g) > 1)
+
+
 class TestTiePassAgainstReference:
     # Rademacher designs repeat rows, so the one-step cost has exactly equal
     # columns and the optimum is tied, as in the tie benchmark workload.
-    @pytest.mark.parametrize("n,p", [(24, 3), (64, 8)])
+    @pytest.mark.parametrize("n,p", [(24, 3), (40, 5), (64, 8)])
     @pytest.mark.parametrize("snr", [10.0, None])
     def test_rademacher_one_step_costs(self, n, p, snr):
-        b = build_canonical_signal(p, p, 1.0)
-        sigma = 0.0 if snr is None else sigma_for_snr(b, p, snr)
         for seed in range(20):
-            inst = synthesize_instance(n, p, p, n, DistributionKind.RADEMACHER, b, sigma, seed)
-            left, right = build_onestep_cost(inst.x, inst.y)
+            left, right = rademacher_one_step_factors(n, p, snr, seed)
             expected = per_candidate_canonical(left @ right.T)
             assert np.array_equal(lap_maximize(left, right).perm.indices, expected), seed
+
+    def test_noiseless_n64_costs_with_large_components(self):
+        # Seeds 20-49 extend the case above. Noiseless costs are where the large
+        # components occur, which the sorted-columns try rarely settles.
+        largest = 0
+        for seed in range(20, 50):
+            left, right = rademacher_one_step_factors(64, 8, None, seed)
+            cost = left @ right.T
+            _, start = linear_sum_assignment(-cost)
+            largest = max([largest] + [g.size for g in _tied_components(cost, start)])
+            expected = per_candidate_canonical(cost)
+            assert np.array_equal(lap_maximize(left, right).perm.indices, expected), seed
+        assert largest >= 20
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_duplicate_column_costs_take_one_solve(self, monkeypatch, n):
+        calls = count_solves(monkeypatch)
+        rng = np.random.default_rng(n)
+        # Each distinct row of `right` appears about four times, so C has groups of
+        # equal columns, and rows holding them may swap at no loss.
+        right = rng.standard_normal((n // 4, 3))[rng.integers(0, n // 4, size=n)]
+        left = rng.standard_normal((n, 3))
+        cost = left @ right.T
+        _, start = linear_sum_assignment(-cost)
+        assert _tied_components(cost, start)
+        result = lap_maximize(left, right)
+        # Each tied group is settled by its sorted columns, with no re-solve.
+        assert calls == [(n, n)]
+        assert np.array_equal(result.perm.indices, per_candidate_canonical(cost))
+
+    @pytest.mark.parametrize("snr", [10.0, None])
+    def test_tied_components_match_scipy_strong_components(self, snr):
+        for seed in range(20):
+            left, right = rademacher_one_step_factors(64, 8, snr, seed)
+            cost = left @ right.T
+            _, start = linear_sum_assignment(-cost)
+            found = [g.tolist() for g in _tied_components(cost, start)]
+            assert found == strong_component_groups(cost, start), seed
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(1, 12).map(lambda n: (n, n)),
+            elements=st.integers(-2, 2).map(float),
+        )
+    )
+    def test_tied_components_match_scipy_on_small_integer_costs(self, cost):
+        _, start = linear_sum_assignment(-cost)
+        found = [g.tolist() for g in _tied_components(cost, start)]
+        assert found == strong_component_groups(cost, start)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -161,13 +253,7 @@ class TestTiePassAgainstReference:
         assert fast.objective == brute.objective
 
     def test_continuous_cost_takes_one_solve(self, monkeypatch):
-        calls = []
-
-        def counting(matrix):
-            calls.append(matrix.shape)
-            return linear_sum_assignment(matrix)
-
-        monkeypatch.setattr(shufflereg.lap, "linear_sum_assignment", counting)
+        calls = count_solves(monkeypatch)
         n = 64
         cost = np.random.default_rng(5).standard_normal((n, n))
         lap_maximize(cost)

@@ -1,9 +1,11 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from shufflereg.experiments import sigma_for_snr
+from shufflereg.experiments import ExperimentConfig, sigma_for_snr
 from shufflereg.metrics import (
     NOISELESS,
     NoiselessMarker,
@@ -121,6 +123,16 @@ class TestSnr:
         assert repr(marker) == "noiseless"
         assert f"{marker:.6g}" == "inf"
         assert sigma_for_snr(np.ones((2, 2)), 2, marker) == 0.0
+
+    @pytest.mark.parametrize(
+        "roundtrip", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+    )
+    def test_noiseless_marker_survives_copy_and_pickle(self, roundtrip):
+        assert roundtrip(NOISELESS) is NOISELESS
+
+    def test_deep_copied_config_keeps_the_marker(self):
+        cfg = ExperimentConfig(n=10, p=2, m=2, h=2, snr_grid=(1.0, NOISELESS))
+        assert copy.deepcopy(cfg).snr_grid[1] is NOISELESS
 
     def test_scaling_laws(self):
         rng = np.random.default_rng(4)
