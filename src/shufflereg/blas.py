@@ -1,14 +1,15 @@
-"""Single-threaded OpenBLAS for the duration of a sweep.
+"""Single-threaded OpenBLAS for the duration of a computation.
 
 numpy and scipy each bundle their own OpenBLAS: numpy's ILP64 build exports
 ``scipy_openblas_{get,set}_num_threads64_`` and scipy's LP64 build
 ``scipy_openblas_{get,set}_num_threads``. ``single_threaded()`` sets every
-loaded build to one thread and restores each build's previous count on exit.
-Sweeps run inside it for two reasons: BLAS threads compete with the sweep's
-own trial workers, and the thread count changes the roundoff of QR and matrix
-products, so sweep output would otherwise depend on the machine's core count.
-The setting is process-wide: other threads that call BLAS while a sweep runs
-are single-threaded too.
+loaded build to one thread and restores each build's previous count on exit;
+it also works as a decorator. The estimators, instance synthesis, the Gram
+eigenvalues of ``metrics`` and whole sweeps run inside it, because the thread
+count changes the roundoff of QR and matrix products, so their output would
+otherwise depend on the machine's core count; a sweep also keeps BLAS threads
+from competing with its own trial workers. The setting is process-wide:
+other threads that call BLAS meanwhile are single-threaded too.
 
 The builds are found through ``/proc/self/maps`` on first use, never at
 import, and cached. Where none is found (another platform or BLAS vendor),

@@ -80,8 +80,9 @@ def cmd_simulate(args) -> int:
             overrides["master_seed"] = args.seed
         if overrides:
             config = with_overrides(config, **overrides)
-    except FileNotFoundError as exc:
-        return _fail(f"cannot read config file: {exc.filename}", EXIT_RUNTIME)
+    except OSError as exc:
+        # A missing file, a directory, or a file without read permission.
+        return _fail(f"cannot read config file: {exc.filename}: {exc.strerror}", EXIT_RUNTIME)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_USAGE)
     try:
@@ -129,7 +130,7 @@ def cmd_demo_failure(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    if args.sigma < 0:
+    if not args.sigma >= 0:  # nan fails every comparison, so test for the valid range
         return _fail(f"sigma must be >= 0, got {args.sigma}", EXIT_USAGE)
     if args.n < 3:
         return _fail(f"n must be >= 3, got {args.n}", EXIT_USAGE)

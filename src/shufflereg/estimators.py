@@ -12,6 +12,9 @@
   is observable.
 * ``reduce_known_direction`` — collapses a p-column problem with known signal
   direction e to the single-column model on the projection X e.
+
+The four estimators run with OpenBLAS at one thread (``shufflereg.blas``), so
+their results do not depend on the machine's core count.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from . import instrument
+from . import blas, instrument
 from .lap import Assignment, lap_maximize
 from .metrics import hamming_distance
 from .model import Permutation, apply_permutation, require_matrix
@@ -80,6 +83,7 @@ def _qr_full_rank(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
+@blas.single_threaded()
 def least_squares_signal(x, y, perm: Permutation) -> np.ndarray:
     """argmin_B || inverse-permuted Y - X B ||_F via QR, columnwise back-substitution."""
     xa, ya = _validate_pair(x, y)
@@ -90,8 +94,11 @@ def least_squares_signal(x, y, perm: Permutation) -> np.ndarray:
         raise ValueError(f"permutation length {len(perm)} != n={n}")
     instrument.record("ls_solve")
     q, r = _qr_full_rank(xa)
-    aligned = apply_permutation(perm.inverse(), ya)
-    return solve_triangular(r, q.T @ aligned, lower=False)
+    # Row perm(i) of the aligned Y is row i of Y: the inverse permutation as one scatter.
+    aligned = np.empty_like(ya)
+    aligned[perm.indices] = ya
+    # Both operands come from the validated x and y, so scipy's finiteness scans are skipped.
+    return solve_triangular(r, q.T @ aligned, lower=False, check_finite=False)
 
 
 def build_onestep_cost(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -110,6 +117,7 @@ def build_onestep_cost(x, y) -> tuple[np.ndarray, np.ndarray]:
     return left, xa
 
 
+@blas.single_threaded()
 def one_step_estimate(x, y) -> EstimationResult:
     """Single assignment solve on Y Y^T X X^T, then one least-squares solve."""
     xa, ya = _validate_pair(x, y)
@@ -127,6 +135,7 @@ def one_step_estimate(x, y) -> EstimationResult:
     )
 
 
+@blas.single_threaded()
 def oracle_permutation_estimate(x, y, b_true) -> Permutation:
     """Assignment solve on Y (X B)^T for a known matching direction B."""
     xa, ya = _validate_pair(x, y)
@@ -142,6 +151,7 @@ def _residual(x: np.ndarray, y: np.ndarray, perm: Permutation, b: np.ndarray) ->
     return float(np.linalg.norm(y - apply_permutation(perm, x @ b)))
 
 
+@blas.single_threaded()
 def alternating_minimization(
     x,
     y,

@@ -6,7 +6,8 @@ point and aggregates recovery statistics. Per-trial seeds are derived from
 runs single-threaded for the whole sweep (the caller's thread counts are
 restored afterwards), so CSV bytes are identical at any worker count and on
 any core count (for one CPU type and BLAS build), and trials may run
-concurrently.
+concurrently. The signal matrix and the noise level of each grid point are
+computed once per config and shared by its trials and its CSV row.
 
 CSV columns (fixed order)::
 
@@ -21,10 +22,12 @@ the literal ``inf`` for snr and logdet_ratio.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -156,11 +159,23 @@ class ExperimentConfig:
                 raise ConfigError(f"snr values must be positive, got {v!r}")
         if any(float(a) >= float(b) for a, b in zip(grid, grid[1:])):
             raise ConfigError("snr_grid must be strictly ascending (noiseless last)")
-        parse_estimator(self.estimator)
+        object.__setattr__(self, "_estimator_call", parse_estimator(self.estimator))
         object.__setattr__(self, "snr_grid", grid)
 
     def signal_matrix(self) -> np.ndarray:
         return build_canonical_signal(self.p, self.m, self.signal_scale)
+
+    @cached_property
+    def _signal(self) -> np.ndarray:
+        """``signal_matrix()``, built once and read-only: every trial shares it."""
+        b = self.signal_matrix()
+        b.setflags(write=False)
+        return b
+
+    @cached_property
+    def _sigmas(self) -> tuple[float, ...]:
+        """Noise level of each grid point, in grid order."""
+        return tuple(sigma_for_snr(self._signal, self.m, snr) for snr in self.snr_grid)
 
 
 @dataclass(frozen=True)
@@ -201,13 +216,12 @@ class SweepResult:
 
 def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> TrialResult:
     """One synthesized instance at a grid point; failures become flagged rows."""
-    b_true = config.signal_matrix()
-    sigma = sigma_for_snr(b_true, config.m, config.snr_grid[grid_index])
+    sigma = config._sigmas[grid_index]
     seed = derive_seed(config.master_seed, grid_index, trial_index)
     inst = synthesize_instance(
-        config.n, config.p, config.m, config.h, config.dist, b_true, sigma, seed
+        config.n, config.p, config.m, config.h, config.dist, config._signal, sigma, seed
     )
-    name, alt_iters = parse_estimator(config.estimator)
+    name, alt_iters = config._estimator_call
     try:
         if name == "one_step":
             result = one_step_estimate(inst.x, inst.y)
@@ -226,7 +240,9 @@ def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> Tr
     )
 
 
-def _aggregate(config: ExperimentConfig, grid_index: int, results: Sequence[TrialResult]) -> SweepRow:
+def _aggregate(
+    config: ExperimentConfig, grid_index: int, sigma: float, results: Sequence[TrialResult]
+) -> SweepRow:
     """One CSV row from the trials of one grid point.
 
     Failed trials (``ok=False``) count in the denominator of
@@ -235,9 +251,7 @@ def _aggregate(config: ExperimentConfig, grid_index: int, results: Sequence[Tria
     trials (NaN when none succeeded). ``failures`` is not written to the CSV.
     """
     snr_point = config.snr_grid[grid_index]
-    b_true = config.signal_matrix()
-    sigma = sigma_for_snr(b_true, config.m, snr_point)
-    ld_ratio = logdet_ratio(b_true, sigma, config.n) if sigma > 0 else math.inf
+    ld_ratio = logdet_ratio(config._signal, sigma, config.n) if sigma > 0 else math.inf
     good = [r for r in results if r.ok]
     mean_hamming = float(np.mean([r.hamming for r in good])) if good else math.nan
     mean_rel = float(np.mean([r.rel_b_error for r in good])) if good else math.nan
@@ -263,19 +277,34 @@ def _aggregate(config: ExperimentConfig, grid_index: int, results: Sequence[Tria
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run every (grid point, trial) pair; row order follows the grid.
 
-    All pairs go through one worker pool of ``config.workers`` threads in
+    The noise level of every grid point is computed first, so one out of
+    double range fails the sweep before any trial runs. The pairs then run in
     grid-major order, with OpenBLAS single-threaded for the whole sweep
-    (``shufflereg.blas``); the caller's BLAS thread counts are restored on
-    return, also when a trial raises.
+    (``shufflereg.blas``): on the calling thread when ``config.workers`` is 1,
+    otherwise on a pool of ``config.workers`` threads. Either way each trial
+    starts from an empty ``contextvars`` context, so it sees numpy's default
+    floating-point error state whatever the caller set. The caller's BLAS
+    thread counts are restored on return, also when a trial raises.
     """
-    pairs = [(g, t) for g in range(len(config.snr_grid)) for t in range(config.trials)]
-    with blas.single_threaded(), ThreadPoolExecutor(max_workers=config.workers) as pool:
-        results = list(pool.map(lambda pair: run_trial(config, *pair), pairs))
+    sigmas = config._sigmas
+
+    def trial(pair: tuple[int, int]) -> TrialResult:
+        return contextvars.Context().run(run_trial, config, *pair)
+
+    pairs = [(g, t) for g in range(len(sigmas)) for t in range(config.trials)]
+    with blas.single_threaded():
+        # One worker needs no pool: its thread start and a queue hop per trial are a
+        # visible share of a trial at small n.
+        if config.workers == 1:
+            results = [trial(pair) for pair in pairs]
+        else:
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                results = list(pool.map(trial, pairs))
     t = config.trials
     return SweepResult(
         rows=tuple(
-            _aggregate(config, g, results[g * t : (g + 1) * t])
-            for g in range(len(config.snr_grid))
+            _aggregate(config, g, sigma, results[g * t : (g + 1) * t])
+            for g, sigma in enumerate(sigmas)
         )
     )
 
@@ -434,8 +463,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(
+            f"{path}: line {line_no}: byte 0x{data[exc.start]:02x} is not UTF-8"
+        ) from None
+    return parse_config_text(text)
 
 
 def with_overrides(config: ExperimentConfig, **kwargs) -> ExperimentConfig:

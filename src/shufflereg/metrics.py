@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import blas
 from .model import Permutation, require_matrix
 
 
@@ -38,8 +39,12 @@ def hamming_distance(a: Permutation, b: Permutation) -> int:
     return int(np.count_nonzero(a.indices != b.indices))
 
 
+@blas.single_threaded()
 def _gram_eigenvalues(arr: np.ndarray) -> np.ndarray:
-    """Squared singular values, ascending: eigenvalues of the smaller of B^T B and B B^T."""
+    """Squared singular values, ascending: eigenvalues of the smaller of B^T B and B B^T.
+
+    OpenBLAS runs at one thread here, so the values do not depend on the core count.
+    """
     side = arr.T @ arr if arr.shape[1] <= arr.shape[0] else arr @ arr.T
     return np.clip(np.linalg.eigvalsh(side), 0.0, None)
 

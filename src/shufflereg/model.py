@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import blas
 from .rng import generator
 
 
@@ -57,7 +58,7 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr)
 
@@ -197,6 +198,7 @@ class ProblemInstance:
     h: int
 
 
+@blas.single_threaded()
 def synthesize_instance(
     n: int,
     p: int,
@@ -211,7 +213,7 @@ def synthesize_instance(
 
     ``sigma = 0`` yields exactly Y = P X B. The design, permutation, and noise
     draws use the sub-stream tags "design", "perm", and "noise", so each is
-    reproducible in isolation.
+    reproducible in isolation. Raises ValueError when Y overflows float64.
     """
     b = require_matrix(b_true, "b_true")
     if b.shape != (p, m):
@@ -220,9 +222,13 @@ def synthesize_instance(
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     x = sample_design_matrix(n, p, dist, seed)
     perm = sample_permutation_with_hamming_weight(n, h, seed)
-    y = apply_permutation(perm, x @ b)
-    if sigma > 0:
-        y = y + sigma * generator(seed, "noise").standard_normal((n, m))
+    # Overflow is reported below as a ValueError, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (x @ b)[perm.indices]
+        if sigma > 0:
+            y = y + sigma * generator(seed, "noise").standard_normal((n, m))
+    if not np.isfinite(y).all():
+        raise ValueError("observation Y = P X B + W overflows float64")
     return ProblemInstance(
         x=x,
         b_true=b,

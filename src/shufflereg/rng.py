@@ -19,6 +19,8 @@ identity (mod 2^64) for integers and FNV-1a 64 for strings. The resulting
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -31,6 +33,8 @@ def _splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+# Memoized: the sub-stream tags are a handful of fixed strings, hashed once per trial each.
+@functools.lru_cache(maxsize=256)
 def _fnv1a64(text: str) -> int:
     h = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import shufflereg.experiments as experiments
-from shufflereg import blas
+import shufflereg.lap
+import shufflereg.model as model
+from shufflereg import blas, estimators, metrics
 from shufflereg.experiments import ExperimentConfig, format_csv, run_sweep
 from shufflereg.metrics import NOISELESS
+from shufflereg.model import DistributionKind, build_canonical_signal, synthesize_instance
 
 
 def small_config(**overrides):
@@ -116,4 +119,66 @@ def test_csv_independent_of_caller_thread_count(builds):
     for caller in (1, 2):
         set_counts(builds, [caller] * len(builds))
         outputs.add(format_csv(run_sweep(cfg)))
+    assert len(outputs) == 1
+
+
+def instance(n=40, p=3, m=2):
+    b = build_canonical_signal(p, m, 1.0)
+    return synthesize_instance(n, p, m, n // 4, DistributionKind.GAUSSIAN, b, 0.1, 1)
+
+
+# Each library entry point that multiplies or factors matrices, called on a small instance.
+ENTRY_POINTS = {
+    "one_step_estimate": lambda inst: estimators.one_step_estimate(inst.x, inst.y),
+    "oracle_permutation_estimate": lambda inst: estimators.oracle_permutation_estimate(
+        inst.x, inst.y, inst.b_true
+    ),
+    "least_squares_signal": lambda inst: estimators.least_squares_signal(
+        inst.x, inst.y, inst.perm_true
+    ),
+    "alternating_minimization": lambda inst: estimators.alternating_minimization(
+        inst.x, inst.y, max_iters=2
+    ),
+    "synthesize_instance": lambda inst: synthesize_instance(
+        40, 3, 2, 10, DistributionKind.GAUSSIAN, inst.b_true, 0.1, 2
+    ),
+    "stable_rank": lambda inst: metrics.stable_rank(inst.b_true),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_points_see_one_thread_and_restore_the_callers(builds, monkeypatch, name):
+    seen = []
+    inst = instance()
+
+    def spy(module, attr):
+        real = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            seen.append(tuple(counts(builds)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    # The calls inside the entry points that reach BLAS, LAPACK or the assignment solver.
+    spy(shufflereg.lap, "linear_sum_assignment")
+    spy(np.linalg, "qr")
+    spy(np.linalg, "eigvalsh")
+    spy(model, "sample_design_matrix")
+    caller = [2 + i for i in range(len(builds))]
+    set_counts(builds, caller)
+    ENTRY_POINTS[name](inst)
+    assert seen and set(seen) == {(1,) * len(builds)}
+    assert counts(builds) == caller
+
+
+def test_estimates_independent_of_caller_thread_count(builds):
+    # At n=500, p=m=50 the QR splits across OpenBLAS threads when it may, which
+    # changes its roundoff; the estimators pin one thread, so the bytes agree.
+    inst = instance(n=500, p=50, m=50)
+    outputs = set()
+    for caller in (1, 2):
+        set_counts(builds, [caller] * len(builds))
+        result = estimators.one_step_estimate(inst.x, inst.y)
+        outputs.add(result.perm_hat.indices.tobytes() + result.b_hat.tobytes())
     assert len(outputs) == 1

@@ -237,6 +237,28 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_unreadable_config_exits_without_traceback(self, tmp_path):
+        directory = tmp_path / "cfg.d"
+        directory.mkdir()
+        proc = run_cli("simulate", "--config", directory, "--out", tmp_path / "a.csv")
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: cannot read config file: {directory}: Is a directory\n"
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(b"n = 20\np = 2\nm = 2\nh = 0\n# caf\xe9\n")
+        proc = run_cli("simulate", "--config", latin1, "--out", tmp_path / "b.csv")
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {latin1}: line 5: byte 0xe9 is not UTF-8\n"
+        assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
+
+    def test_overflowing_observation_is_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        # X B overflows wherever |x| > 1.8; sigma = 1e308 itself is representable.
+        cfg.write_text("n = 20\np = 2\nm = 2\nh = 0\nsignal_scale = 1e308\nsnr_grid = 1\ntrials = 2\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: observation Y = P X B + W overflows float64\n"
+        assert not out.exists()
+
 
 class TestDemoFailure:
     def test_trace_file_layout(self, tmp_path):
@@ -357,6 +379,23 @@ class TestDiagnose:
         b_path = tmp_path / "b.txt"
         write_matrix(build_canonical_signal(2, 2, 1.0), b_path)
         assert main(["diagnose", "--b", str(b_path), "--sigma", "-1", "--n", "100"]) == 2
+
+    def test_nan_sigma_is_usage_error(self, tmp_path, capsys):
+        b_path = tmp_path / "b.txt"
+        write_matrix(build_canonical_signal(2, 2, 1.0), b_path)
+        assert main(["diagnose", "--b", str(b_path), "--sigma", "nan", "--n", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sigma must be >= 0, got nan\n"
+
+    def test_infinite_sigma_is_the_pure_noise_limit(self, tmp_path, capsys):
+        b_path = tmp_path / "b.txt"
+        write_matrix(build_canonical_signal(2, 2, 1.0), b_path)
+        assert main(["diagnose", "--b", str(b_path), "--sigma", "inf", "--n", "100"]) == 0
+        out = capsys.readouterr().out
+        values = dict(line.split(" = ") for line in out.strip().splitlines() if " = " in line)
+        assert (values["snr"], values["logdet"], values["logdet_over_log_n"]) == ("0", "0", "0")
+        assert "below minimax threshold" in out
 
 
 class TestUsageErrors:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shufflereg import instrument
 from shufflereg.estimators import (
@@ -247,6 +249,17 @@ class TestLeastSquaresSignal:
         x = np.column_stack([np.ones(5), np.ones(5)])
         with pytest.raises(RankDeficiencyError):
             least_squares_signal(x, np.ones((5, 1)), Permutation.identity(5))
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1))
+    def test_alignment_is_the_inverse_permutation_byte_for_byte(self, data, n, seed):
+        perm = Permutation(np.array(data.draw(st.permutations(range(n)))))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 3))
+        y = rng.standard_normal((n, 2))
+        aligned = apply_permutation(perm.inverse(), y)
+        expected = least_squares_signal(x, aligned, Permutation.identity(n))
+        assert least_squares_signal(x, y, perm).tobytes() == expected.tobytes()
 
 
 class TestAlternatingMinimization:

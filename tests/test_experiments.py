@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -241,6 +242,76 @@ class TestRunSweep:
         )
         serial = format_csv(run_sweep(cfg))
         assert format_csv(run_sweep(with_overrides(cfg, workers=3))) == serial
+
+    def test_one_worker_runs_on_the_calling_thread_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 built a thread pool")
+
+        threads = []
+        real = experiments.run_trial
+
+        def spy(config, grid_index, trial_index):
+            threads.append(threading.get_ident())
+            return real(config, grid_index, trial_index)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments, "run_trial", spy)
+        cfg = small_config(trials=3)
+        run_sweep(cfg)
+        assert threads == [threading.get_ident()] * (cfg.trials * len(cfg.snr_grid))
+        with pytest.raises(AssertionError, match="built a thread pool"):
+            run_sweep(with_overrides(cfg, workers=2))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_noise_level_is_computed_once_per_grid_point(self, monkeypatch, workers):
+        calls = []
+        real = experiments.sigma_for_snr
+
+        def counting(b, m, target_snr):
+            calls.append(target_snr)
+            return real(b, m, target_snr)
+
+        monkeypatch.setattr(experiments, "sigma_for_snr", counting)
+        cfg = small_config(trials=3, workers=workers)
+        run_sweep(cfg)
+        assert calls == list(cfg.snr_grid)
+
+    def test_trials_share_one_read_only_signal(self, monkeypatch):
+        seen = []
+        real = experiments.synthesize_instance
+
+        def spy(n, p, m, h, dist, b_true, sigma, seed):
+            seen.append(b_true)
+            return real(n, p, m, h, dist, b_true, sigma, seed)
+
+        monkeypatch.setattr(experiments, "synthesize_instance", spy)
+        cfg = small_config(trials=2, workers=2)
+        run_sweep(cfg)
+        assert len(seen) == cfg.trials * len(cfg.snr_grid)
+        assert all(b is seen[0] for b in seen)
+        assert not seen[0].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            seen[0][0, 0] = 2.0
+        assert np.array_equal(seen[0], cfg.signal_matrix())
+        assert cfg.signal_matrix().flags.writeable
+
+    def test_cached_grid_values_leave_equality_alone(self):
+        cfg = small_config()
+        run_trial(cfg, 0, 0)
+        fresh = small_config()
+        assert cfg == fresh and hash(cfg) == hash(fresh)
+        moved = with_overrides(cfg, signal_scale=2.0)
+        assert moved._sigmas == tuple(2.0 * s for s in cfg._sigmas)
+
+    def test_trials_ignore_the_callers_floating_point_error_state(self):
+        # At this scale the one-step cost Y Y^T X X^T underflows, which numpy ignores by default.
+        cfg = small_config(n=40, p=3, m=3, signal_scale=1e-160, snr_grid=(1.0, NOISELESS), trials=3)
+        with pytest.raises(FloatingPointError, match="underflow"), np.errstate(all="raise"):
+            run_trial(cfg, 0, 0)
+        expected = format_csv(run_sweep(cfg))
+        with np.errstate(all="raise"):
+            for workers in (1, 2):
+                assert format_csv(run_sweep(with_overrides(cfg, workers=workers))) == expected
 
 
 class TestFailureDemo:

@@ -229,6 +229,13 @@ class TestSynthesizeInstance:
         assert np.array_equal(a.y, c.y)
         assert a.perm_true == c.perm_true
 
+    @pytest.mark.parametrize("scale,sigma", [(1e308, 0.0), (1.0, 1e308)])
+    def test_overflowing_observation_is_rejected_without_warning(self, scale, sigma):
+        # Either X B or the noise term leaves the double range for |entries| above ~1.8.
+        b = build_canonical_signal(2, 2, scale)
+        with pytest.raises(ValueError, match=r"^observation Y = P X B \+ W overflows float64$"):
+            synthesize_instance(50, 2, 2, 0, GAUSSIAN, b, sigma, seed=1)
+
     def test_exact_displacement_count(self):
         b = build_canonical_signal(3, 3, 1.0)
         inst = synthesize_instance(40, 3, 3, 12, GAUSSIAN, b, 1.0, seed=2)
