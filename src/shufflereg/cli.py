@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .experiments import (
     load_config,
     reproduce_failure_demo,
     run_sweep,
-    with_overrides,
     write_csv,
 )
 from .matrixio import read_matrix, write_matrix, write_permutation
@@ -79,16 +79,19 @@ def cmd_simulate(args) -> int:
         if args.seed is not None:
             overrides["master_seed"] = args.seed
         if overrides:
-            config = with_overrides(config, **overrides)
+            config = replace(config, **overrides)
     except OSError as exc:
         # A missing file, a directory, or a file without read permission.
         return _fail(f"cannot read config file: {exc.filename}: {exc.strerror}", EXIT_RUNTIME)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    except MemoryError as exc:
+        # A logspace grid too long to allocate; numpy's message names its size and shape.
+        return _fail(str(exc), EXIT_RUNTIME)
     try:
         result = run_sweep(config)
-    except ValueError as exc:
-        # A noise level or log-det ratio outside double precision range.
+    except (ValueError, MemoryError) as exc:
+        # A noise level or log-det ratio outside double precision range, or a failed allocation.
         return _fail(str(exc), EXIT_RUNTIME)
     try:
         write_csv(result, args.out)
@@ -111,8 +114,8 @@ def cmd_demo_failure(args) -> int:
         return _fail(f"iters must be >= 0, got {args.iters}", EXIT_USAGE)
     try:
         trace = reproduce_failure_demo(args.n, args.iters, args.seed)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        # A dense cost larger than physical memory, or a least-squares failure.
+    except (ValueError, MemoryError, np.linalg.LinAlgError) as exc:
+        # A dense cost larger than physical memory, a failed allocation, or a least-squares failure.
         return _fail(str(exc), EXIT_RUNTIME)
     try:
         with open(args.out, "w", encoding="ascii") as fh:

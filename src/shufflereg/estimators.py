@@ -4,7 +4,8 @@
   followed by one least-squares solve. Tuning-free: needs neither the noise
   level nor the number of displaced rows.
 * ``oracle_permutation_estimate`` — assignment solve with the true signal as
-  the matching direction (invariant to positive rescaling of it).
+  the matching direction (invariant to positive rescaling of it), followed by
+  the same least-squares solve.
 * ``least_squares_signal`` — signal recovery for a known permutation using an
   orthogonal factorization; the normal equations are never formed.
 * ``alternating_minimization`` — diagnostic baseline alternating assignment
@@ -12,6 +13,10 @@
   is observable.
 * ``reduce_known_direction`` — collapses a p-column problem with known signal
   direction e to the single-column model on the projection X e.
+
+The one-step, oracle and alternating estimators return an
+``EstimationResult`` (alternating minimization's subclass adds the trace), so
+a caller reads ``perm_hat`` and ``b_hat`` the same way from each.
 
 The four estimators run with OpenBLAS at one thread (``shufflereg.blas``), so
 their results do not depend on the machine's core count.
@@ -53,11 +58,7 @@ class AltMinRecord:
 
 
 @dataclass(frozen=True)
-class AltMinResult:
-    perm_hat: Permutation
-    b_hat: np.ndarray
-    objective: float
-    iterations: int
+class AltMinResult(EstimationResult):
     trace: tuple[AltMinRecord, ...]
 
 
@@ -136,15 +137,21 @@ def one_step_estimate(x, y) -> EstimationResult:
 
 
 @blas.single_threaded()
-def oracle_permutation_estimate(x, y, b_true) -> Permutation:
-    """Assignment solve on Y (X B)^T for a known matching direction B."""
+def oracle_permutation_estimate(x, y, b_true) -> EstimationResult:
+    """Assignment solve on Y (X B)^T for a known matching direction B, then least squares."""
     xa, ya = _validate_pair(x, y)
     ba = require_matrix(b_true, "b_true")
     if ba.shape[0] != xa.shape[1]:
         raise ValueError(f"b_true has {ba.shape[0]} rows but x has {xa.shape[1]} columns")
     if ba.shape[1] != ya.shape[1]:
         raise ValueError(f"b_true has {ba.shape[1]} columns but y has {ya.shape[1]}")
-    return lap_maximize(ya, xa @ ba).perm
+    assignment = lap_maximize(ya, xa @ ba)
+    return EstimationResult(
+        perm_hat=assignment.perm,
+        b_hat=least_squares_signal(xa, ya, assignment.perm),
+        objective=assignment.objective,
+        iterations=1,
+    )
 
 
 def _residual(x: np.ndarray, y: np.ndarray, perm: Permutation, b: np.ndarray) -> float:

@@ -7,12 +7,13 @@ runs single-threaded for the whole sweep (the caller's thread counts are
 restored afterwards), so CSV bytes are identical at any worker count and on
 any core count (for one CPU type and BLAS build), and trials may run
 concurrently. The signal matrix and the noise level of each grid point are
-computed once per config and shared by its trials and its CSV row.
+computed once per config and shared by its trials and its CSV row. Every
+estimator returns an ``EstimationResult``, so a trial reads the permutation
+and signal estimate the same way whichever estimator ran.
 
-CSV columns (fixed order)::
-
-    n,p,m,h,dist,estimator,snr,sigma,logdet_ratio,recovery_rate,
-    mean_hamming,mean_rel_b_error,trials,seed
+The dataclasses are the schema: the CSV columns are ``SweepRow``'s fields in
+order, without ``failures``, and the config keys are ``ExperimentConfig``'s
+fields, each parsed by its annotated type.
 
 The noiseless grid point is SNR = +inf (sigma = 0): every +inf in ``snr_grid``
 becomes ``metrics.NOISELESS``, so ``inf`` in a config is an alias of
@@ -26,51 +27,23 @@ import contextvars
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
 from . import blas
-from .estimators import (
-    alternating_minimization,
-    least_squares_signal,
-    one_step_estimate,
-    oracle_permutation_estimate,
-)
+from .estimators import alternating_minimization, one_step_estimate, oracle_permutation_estimate
 from .metrics import (
     NOISELESS,
-    _ldexp_finite,
-    _sum_of_squares,
     hamming_distance,
     logdet_ratio,
     relative_signal_error,
+    sigma_for_snr,
 )
-from .model import (
-    DistributionKind,
-    build_canonical_signal,
-    require_matrix,
-    synthesize_instance,
-)
+from .model import DistributionKind, build_canonical_signal, synthesize_instance
 from .rng import derive_seed
-
-CSV_COLUMNS = (
-    "n",
-    "p",
-    "m",
-    "h",
-    "dist",
-    "estimator",
-    "snr",
-    "sigma",
-    "logdet_ratio",
-    "recovery_rate",
-    "mean_hamming",
-    "mean_rel_b_error",
-    "trials",
-    "seed",
-)
 
 _ESTIMATOR_RE = re.compile(r"^(one_step|oracle_perm|alt_min)(?:\((\d+)\))?$")
 
@@ -92,28 +65,6 @@ def parse_estimator(name_with_args: str) -> tuple[str, int | None]:
     if iters is not None:
         raise ConfigError(f"estimator {name} takes no iteration count")
     return name, None
-
-
-def sigma_for_snr(b, m: int, target_snr: float) -> float:
-    """Noise level that realizes ``target_snr`` = ||B||_F^2 / (m sigma^2)."""
-    if not target_snr > 0:
-        raise ValueError(f"target snr must be positive, got {target_snr}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    arr = require_matrix(b, "b")
-    total, exponent = _sum_of_squares(arr)
-    if total == 0.0:
-        raise ValueError("signal must be nonzero")
-    # sqrt(total * 2**e / (m * snr)) with the even part of the exponent taken
-    # out of the root: exact, so the result is the direct formula's wherever
-    # that formula stays in range.
-    mantissa, snr_exponent = math.frexp(target_snr)
-    half, odd = divmod(exponent - snr_exponent, 2)
-    what = f"noise level for snr {target_snr:g}"
-    sigma = _ldexp_finite(math.sqrt(math.ldexp(total / (m * mantissa), odd)), half, what)
-    if sigma == 0.0 and math.isfinite(target_snr):
-        raise ValueError(f"{what} underflows double precision (below about 5e-324)")
-    return sigma
 
 
 # Recovery phase transitions span orders of magnitude, so the default grid is
@@ -209,6 +160,9 @@ class SweepRow:
     failures: int = 0
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "failures")
+
+
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
@@ -225,18 +179,15 @@ def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> Tr
     try:
         if name == "one_step":
             result = one_step_estimate(inst.x, inst.y)
-            perm_hat, b_hat = result.perm_hat, result.b_hat
         elif name == "oracle_perm":
-            perm_hat = oracle_permutation_estimate(inst.x, inst.y, inst.b_true)
-            b_hat = least_squares_signal(inst.x, inst.y, perm_hat)
+            result = oracle_permutation_estimate(inst.x, inst.y, inst.b_true)
         else:
-            alt = alternating_minimization(inst.x, inst.y, max_iters=alt_iters)
-            perm_hat, b_hat = alt.perm_hat, alt.b_hat
+            result = alternating_minimization(inst.x, inst.y, max_iters=alt_iters)
     except (ValueError, np.linalg.LinAlgError) as exc:
         return TrialResult(hamming=0, rel_b_error=math.nan, ok=False, error=str(exc))
     return TrialResult(
-        hamming=hamming_distance(perm_hat, inst.perm_true),
-        rel_b_error=relative_signal_error(b_hat, inst.b_true),
+        hamming=hamming_distance(result.perm_hat, inst.perm_true),
+        rel_b_error=relative_signal_error(result.b_hat, inst.b_true),
     )
 
 
@@ -363,7 +314,12 @@ def write_csv(result: SweepResult, path) -> None:
 
 
 def parse_csv(path) -> SweepResult:
-    """Read a sweep CSV back into rows (inverse of write_csv at writer precision)."""
+    """Read a sweep CSV back into rows (inverse of write_csv at writer precision).
+
+    Each column is converted by its ``SweepRow`` field type; an snr of ``inf``
+    reads as ``NOISELESS``.
+    """
+    types = get_type_hints(SweepRow)
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != ",".join(CSV_COLUMNS):
@@ -376,29 +332,13 @@ def parse_csv(path) -> SweepResult:
             parts = line.split(",")
             if len(parts) != len(CSV_COLUMNS):
                 raise ValueError(f"{path}:{line_no}: expected {len(CSV_COLUMNS)} fields")
-            rec = dict(zip(CSV_COLUMNS, parts))
-            rows.append(
-                SweepRow(
-                    n=int(rec["n"]),
-                    p=int(rec["p"]),
-                    m=int(rec["m"]),
-                    h=int(rec["h"]),
-                    dist=rec["dist"],
-                    estimator=rec["estimator"],
-                    snr=NOISELESS if rec["snr"] == "inf" else float(rec["snr"]),
-                    sigma=float(rec["sigma"]),
-                    logdet_ratio=float(rec["logdet_ratio"]),
-                    recovery_rate=float(rec["recovery_rate"]),
-                    mean_hamming=float(rec["mean_hamming"]),
-                    mean_rel_b_error=float(rec["mean_rel_b_error"]),
-                    trials=int(rec["trials"]),
-                    seed=int(rec["seed"]),
-                )
-            )
+            rec = {col: types[col](part) for col, part in zip(CSV_COLUMNS, parts)}
+            if rec["snr"] == math.inf:
+                rec["snr"] = NOISELESS
+            rows.append(SweepRow(**rec))
     return SweepResult(rows=tuple(rows))
 
 
-_CONFIG_INT_KEYS = {"n", "p", "m", "h", "trials", "master_seed", "workers"}
 _GRID_TOKEN_RE = re.compile(r"logspace\([^)]*\)|[^,\s]+")
 
 
@@ -423,6 +363,13 @@ def _parse_snr_grid(value: str) -> tuple:
     return tuple(grid)
 
 
+# Each config key is parsed by its ExperimentConfig annotation; int, float and str parse themselves.
+_CONFIG_TYPES = get_type_hints(ExperimentConfig)
+_VALUE_PARSERS = {DistributionKind: DistributionKind.from_name, tuple: _parse_snr_grid}
+_NUMBER_NOUNS = {int: "an integer", float: "a number"}
+_REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse flat ``key = value`` lines (# comments allowed) into a config."""
     values: dict = {}
@@ -435,28 +382,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        if key in _CONFIG_INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"line {line_no}: key {key!r} needs an integer") from None
-        elif key == "signal_scale":
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"line {line_no}: key {key!r} needs a number") from None
-        elif key == "dist":
-            try:
-                values[key] = DistributionKind.from_name(value)
-            except ValueError as exc:
-                raise ConfigError(f"line {line_no}: {exc}") from None
-        elif key == "snr_grid":
-            values[key] = _parse_snr_grid(value)
-        elif key in ("estimator", "signal"):
-            values[key] = value
-        else:
+        if key not in _CONFIG_TYPES:
             raise ConfigError(f"unknown config key: {key}")
-    missing = [key for key in ("n", "p", "m", "h") if key not in values]
+        kind = _CONFIG_TYPES[key]
+        try:
+            values[key] = _VALUE_PARSERS.get(kind, kind)(value)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            reason = f"key {key!r} needs {_NUMBER_NOUNS[kind]}" if kind in _NUMBER_NOUNS else exc
+            raise ConfigError(f"line {line_no}: {reason}") from None
+    missing = [key for key in _REQUIRED_KEYS if key not in values]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
     return ExperimentConfig(**values)
@@ -473,7 +409,3 @@ def load_config(path) -> ExperimentConfig:
             f"{path}: line {line_no}: byte 0x{data[exc.start]:02x} is not UTF-8"
         ) from None
     return parse_config_text(text)
-
-
-def with_overrides(config: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    return replace(config, **kwargs)

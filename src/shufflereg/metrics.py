@@ -1,5 +1,6 @@
-"""Scalar diagnostics: Hamming distance, stable rank, SNR, log-det ratio,
-relative signal error, and difficulty-regime classification.
+"""Scalar diagnostics: Hamming distance, stable rank, SNR and its inverse
+``sigma_for_snr``, log-det ratio, relative signal error, and difficulty-regime
+classification.
 
 SNR is defined as ||B||_F^2 / (m * sigma^2), so the noiseless case (sigma = 0)
 is SNR = +inf. It is the float ``NOISELESS``, which equals, hashes and orders
@@ -118,6 +119,28 @@ def snr(b, m: int, sigma: float) -> float:
     return _ldexp_finite(
         total / (m * mantissa * mantissa), exponent - 2 * sigma_exponent, f"snr at sigma={sigma:g}"
     )
+
+
+def sigma_for_snr(b, m: int, target_snr: float) -> float:
+    """Noise level that realizes ``target_snr`` = ||B||_F^2 / (m sigma^2); inverse of ``snr``."""
+    if not target_snr > 0:
+        raise ValueError(f"target snr must be positive, got {target_snr}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    arr = require_matrix(b, "b")
+    total, exponent = _sum_of_squares(arr)
+    if total == 0.0:
+        raise ValueError("signal must be nonzero")
+    # sqrt(total * 2**e / (m * snr)) with the even part of the exponent taken
+    # out of the root: exact, so the result is the direct formula's wherever
+    # that formula stays in range.
+    mantissa, snr_exponent = math.frexp(target_snr)
+    half, odd = divmod(exponent - snr_exponent, 2)
+    what = f"noise level for snr {target_snr:g}"
+    sigma = _ldexp_finite(math.sqrt(math.ldexp(total / (m * mantissa), odd)), half, what)
+    if sigma == 0.0 and math.isfinite(target_snr):
+        raise ValueError(f"{what} underflows double precision (below about 5e-324)")
+    return sigma
 
 
 def logdet_ratio(b, sigma: float, n: int) -> float:

@@ -6,6 +6,7 @@ report lines as they complete.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from shufflereg.experiments import (
     format_csv,
     reproduce_failure_demo,
     run_sweep,
-    with_overrides,
 )
 from shufflereg.lap import lap_brute_force, lap_maximize
 from shufflereg.metrics import NOISELESS, relative_signal_error
@@ -129,7 +129,7 @@ def test_c05_rademacher_vs_gaussian():
         master_seed=505,
     )
     rate_rademacher = run_sweep(base).rows[0].recovery_rate
-    rate_gaussian = run_sweep(with_overrides(base, dist=GAUSSIAN)).rows[0].recovery_rate
+    rate_gaussian = run_sweep(replace(base, dist=GAUSSIAN)).rows[0].recovery_rate
     elapsed = time.perf_counter() - start
     report(
         5,
@@ -231,7 +231,7 @@ def test_c10_sweep_determinism_across_workers():
     )
     outputs = {
         workers: [
-            format_csv(run_sweep(with_overrides(config, workers=workers)))
+            format_csv(run_sweep(replace(config, workers=workers)))
             for _ in range(2)
         ]
         for workers in (1, 8)

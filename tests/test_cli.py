@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import shufflereg.experiments
 import shufflereg.lap
 from shufflereg.cli import main
 from shufflereg.matrixio import read_matrix, read_permutation, write_matrix
@@ -16,6 +17,16 @@ from shufflereg.model import (
 )
 
 GAUSSIAN = DistributionKind.GAUSSIAN
+
+
+def refuse_allocation(monkeypatch, module, attr, message):
+    """Make ``module.attr`` raise the MemoryError numpy raises for ``message``, allocating nothing."""
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, attr, refuse)
+
 
 TINY_CONFIG = """
 n = 60
@@ -250,6 +261,27 @@ class TestSimulate:
         assert proc.stderr == f"error: {latin1}: line 5: byte 0xe9 is not UTF-8\n"
         assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize(
+        "module,attr,grid,message",
+        [
+            # numpy's messages for the signal at n = p = m = 10**6 and for logspace(0, 1, 10**12).
+            (shufflereg.experiments, "build_canonical_signal", "1", "Unable to allocate 7.28 TiB for "
+             "an array with shape (1000000, 1000000) and data type float64"),
+            (np, "logspace", "logspace(0, 1, 3)", "Unable to allocate 7.28 TiB for an array with "
+             "shape (1000000000000,) and data type float64"),
+        ],
+    )
+    def test_failed_allocation_is_runtime_error_naming_it(
+        self, tmp_path, capsys, monkeypatch, module, attr, grid, message
+    ):
+        refuse_allocation(monkeypatch, module, attr, message)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"n = 20\np = 2\nm = 2\nh = 0\ntrials = 1\nsnr_grid = {grid}\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_overflowing_observation_is_runtime_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         # X B overflows wherever |x| > 1.8; sigma = 1e308 itself is representable.
@@ -290,6 +322,15 @@ class TestDemoFailure:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: assignment with n=400000 needs a dense 400000x400000 cost")
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_failed_allocation_is_runtime_error_naming_it(self, tmp_path, capsys, monkeypatch):
+        # numpy's message for the design of --n 10**12.
+        message = "Unable to allocate 14.6 TiB for an array with shape (1000000000000, 2) and data type float64"
+        refuse_allocation(monkeypatch, shufflereg.experiments, "synthesize_instance", message)
+        out = tmp_path / "t.csv"
+        assert main(["demo-failure", "--n", "150", "--iters", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_same_seed_reproduces_trace(self, tmp_path):

@@ -193,7 +193,7 @@ class TestOraclePermutationEstimate:
             40, 3, 3, 10, GAUSSIAN, build_canonical_signal(3, 3, 1.0), 0.0, seed=2
         )
         cost = inst.y @ (inst.x @ inst.b_true).T
-        perm_hat = oracle_permutation_estimate(inst.x, inst.y, inst.b_true)
+        perm_hat = oracle_permutation_estimate(inst.x, inst.y, inst.b_true).perm_hat
         obj_hat = float(np.sum(cost[np.arange(40), perm_hat.indices]))
         obj_true = float(np.sum(cost[np.arange(40), inst.perm_true.indices]))
         assert obj_hat >= obj_true
@@ -201,9 +201,9 @@ class TestOraclePermutationEstimate:
     def test_invariant_to_positive_signal_scaling(self):
         b = build_canonical_signal(4, 3, 1.0)
         inst = synthesize_instance(50, 4, 3, 12, GAUSSIAN, b, 0.5, seed=3)
-        base = oracle_permutation_estimate(inst.x, inst.y, b)
+        base = oracle_permutation_estimate(inst.x, inst.y, b).perm_hat
         for alpha in (0.5, 2.0, 1e4):
-            assert oracle_permutation_estimate(inst.x, inst.y, alpha * b) == base
+            assert oracle_permutation_estimate(inst.x, inst.y, alpha * b).perm_hat == base
 
     def test_oracle_recovers_at_least_as_often_as_one_step(self):
         # Paired Monte-Carlo comparison: the oracle sees the true signal, the
@@ -213,7 +213,7 @@ class TestOraclePermutationEstimate:
         oracle_hits = onestep_hits = 0
         for seed in range(100):
             inst = synthesize_instance(300, 10, 10, 75, GAUSSIAN, b, sigma, seed)
-            oracle_hits += oracle_permutation_estimate(inst.x, inst.y, b) == inst.perm_true
+            oracle_hits += oracle_permutation_estimate(inst.x, inst.y, b).perm_hat == inst.perm_true
             onestep_hits += one_step_estimate(inst.x, inst.y).perm_hat == inst.perm_true
         assert oracle_hits >= onestep_hits
 

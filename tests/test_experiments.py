@@ -1,13 +1,18 @@
 import math
 import threading
+from collections import Counter
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shufflereg.estimators as estimators
 import shufflereg.experiments as experiments
 import shufflereg.lap
+from shufflereg import instrument
 from shufflereg.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -22,7 +27,6 @@ from shufflereg.experiments import (
     run_sweep,
     run_trial,
     sigma_for_snr,
-    with_overrides,
     write_csv,
 )
 from shufflereg.metrics import NOISELESS
@@ -182,6 +186,28 @@ class TestRunTrial:
         assert not result.ok
         assert f"n={cfg.n} needs a dense" in result.error
 
+    @pytest.mark.parametrize("estimator", ["one_step", "oracle_perm", "alt_min(2)"])
+    def test_every_solve_is_called_through_the_estimators_module(self, monkeypatch, estimator):
+        # A profiler that wraps the solvers where the estimators look them up sees every call.
+        seen = Counter()
+
+        def counting(attr, event):
+            real = getattr(estimators, attr)
+
+            def wrapper(*args, **kwargs):
+                seen[event] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(estimators, attr, wrapper)
+
+        counting("least_squares_signal", "ls_solve")
+        counting("lap_maximize", "lap_solve")
+        before = instrument.snapshot()
+        run_sweep(small_config(trials=2, estimator=estimator))
+        delta = instrument.delta_since(before)
+        assert delta["ls_solve"] >= 6 and delta["lap_solve"] >= 6
+        assert seen == Counter({event: delta[event] for event in ("ls_solve", "lap_solve")})
+
 
 class TestRunSweep:
     def test_grid_bookkeeping(self):
@@ -216,7 +242,7 @@ class TestRunSweep:
     def test_parallel_execution_is_byte_identical(self):
         cfg = small_config(trials=6)
         serial = format_csv(run_sweep(cfg))
-        threaded = format_csv(run_sweep(with_overrides(cfg, workers=4)))
+        threaded = format_csv(run_sweep(replace(cfg, workers=4)))
         assert serial == threaded
 
     @settings(max_examples=20, deadline=None)
@@ -241,7 +267,7 @@ class TestRunSweep:
             master_seed=master_seed,
         )
         serial = format_csv(run_sweep(cfg))
-        assert format_csv(run_sweep(with_overrides(cfg, workers=3))) == serial
+        assert format_csv(run_sweep(replace(cfg, workers=3))) == serial
 
     def test_one_worker_runs_on_the_calling_thread_without_a_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -260,7 +286,7 @@ class TestRunSweep:
         run_sweep(cfg)
         assert threads == [threading.get_ident()] * (cfg.trials * len(cfg.snr_grid))
         with pytest.raises(AssertionError, match="built a thread pool"):
-            run_sweep(with_overrides(cfg, workers=2))
+            run_sweep(replace(cfg, workers=2))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_noise_level_is_computed_once_per_grid_point(self, monkeypatch, workers):
@@ -300,7 +326,7 @@ class TestRunSweep:
         run_trial(cfg, 0, 0)
         fresh = small_config()
         assert cfg == fresh and hash(cfg) == hash(fresh)
-        moved = with_overrides(cfg, signal_scale=2.0)
+        moved = replace(cfg, signal_scale=2.0)
         assert moved._sigmas == tuple(2.0 * s for s in cfg._sigmas)
 
     def test_trials_ignore_the_callers_floating_point_error_state(self):
@@ -311,7 +337,7 @@ class TestRunSweep:
         expected = format_csv(run_sweep(cfg))
         with np.errstate(all="raise"):
             for workers in (1, 2):
-                assert format_csv(run_sweep(with_overrides(cfg, workers=workers))) == expected
+                assert format_csv(run_sweep(replace(cfg, workers=workers))) == expected
 
 
 class TestFailureDemo:
@@ -384,6 +410,26 @@ class TestCsv:
                     assert reparsed == float(f"{original:.12g}")
         assert parsed.rows[-1].snr is NOISELESS
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_write_parse_write_is_byte_exact(self, tmp_path_factory, data):
+        ints = st.integers(-(2**63), 2**63)
+        floats = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([math.nan, math.inf, -math.inf, NOISELESS]),
+        )
+        names = st.sampled_from(["gaussian", "rademacher", "one_step", "oracle_perm", "alt_min(3)"])
+        strategies = {int: ints, float: floats, str: names}
+        row = st.builds(
+            SweepRow, **{name: strategies[kind] for name, kind in get_type_hints(SweepRow).items()}
+        )
+        rows = tuple(data.draw(st.lists(row, max_size=4)))
+        path = tmp_path_factory.mktemp("csv") / "sweep.csv"
+        write_csv(SweepResult(rows=rows), path)
+        parsed = parse_csv(path)
+        assert format_csv(parsed) == path.read_text()
+        assert all((row.snr is NOISELESS) == (row.snr == math.inf) for row in parsed.rows)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n")
@@ -424,6 +470,37 @@ class TestConfigParsing:
         cfg = parse_config_text("n=40\np=4\nm=4\nh=8\ntrials=2\nsnr_grid = 1, inf\n")
         assert cfg.snr_grid == (1.0, NOISELESS)
         assert cfg.snr_grid[1] is NOISELESS
+
+    def test_config_keys_are_the_config_fields(self):
+        text = {
+            "n": "40", "p": "4", "m": "4", "h": "8", "dist": "rademacher", "signal": "canonical",
+            "signal_scale": "1.5", "snr_grid": "1, noiseless", "trials": "2", "master_seed": "3",
+            "estimator": "alt_min(4)", "workers": "2",
+        }
+        assert set(text) == {f.name for f in fields(ExperimentConfig)}
+        cfg = parse_config_text("\n".join(f"{key} = {value}" for key, value in text.items()))
+        assert cfg == ExperimentConfig(
+            n=40, p=4, m=4, h=8, dist=DistributionKind.RADEMACHER, signal="canonical",
+            signal_scale=1.5, snr_grid=(1.0, NOISELESS), trials=2, master_seed=3,
+            estimator="alt_min(4)", workers=2,
+        )
+        with pytest.raises(ConfigError, match="unknown config key: _sigmas"):
+            parse_config_text("n=10\np=2\nm=2\nh=2\n_sigmas = 1\n")
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("trials = 2.5", "line 5: key 'trials' needs an integer"),
+            ("signal_scale = big", "line 5: key 'signal_scale' needs a number"),
+            ("dist = laplace", "line 5: unknown distribution 'laplace'; expected one of: "),
+            ("snr_grid = 1, loud", "cannot parse snr grid token 'loud'"),
+            ("snr_grid = logspace(a, 1, 3)", "line 5: could not convert string to float: 'a'"),
+        ],
+    )
+    def test_bad_values_name_the_line_and_key(self, line, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(f"n=10\np=2\nm=2\nh=2\n{line}\n")
+        assert str(info.value).startswith(message)
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="unknown config key: snr_gird"):
