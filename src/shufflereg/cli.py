@@ -6,7 +6,11 @@ Subcommands: ``solve`` (estimate a permutation and signal from matrix files),
 (feasibility diagnostics for a signal file).
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage or validation error.
-Diagnostics go to stderr; files and stdout stay machine-readable.
+Diagnostics go to stderr; files and stdout stay machine-readable. Commands
+raise, and ``main`` alone maps an exception to an exit code and one ``error:``
+line on stderr, with stdout left empty: ``ConfigError`` exits 2; ``OSError``
+(``cannot open PATH: REASON``), ``ValueError``, ``MemoryError`` and
+``LinAlgError`` exit 1. Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .estimators import RankDeficiencyError, one_step_estimate
+from .estimators import one_step_estimate
 from .experiments import (
     ConfigError,
     load_config,
@@ -46,22 +50,11 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        x = read_matrix(args.x)
-        y = read_matrix(args.y)
-    except FileNotFoundError as exc:
-        return _fail(f"cannot read input file: {exc.filename}", EXIT_RUNTIME)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
-    try:
-        result = one_step_estimate(x, y)
-    except (RankDeficiencyError, ValueError) as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
-    try:
-        write_permutation(result.perm_hat, args.out_perm)
-        write_matrix(result.b_hat, args.out_b)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
+    x = read_matrix(args.x)
+    y = read_matrix(args.y)
+    result = one_step_estimate(x, y)
+    write_permutation(result.perm_hat, args.out_perm)
+    write_matrix(result.b_hat, args.out_b)
     print(
         f"solved: n={x.shape[0]} p={x.shape[1]} m={y.shape[1]} "
         f"objective={result.objective:.12g}",
@@ -71,32 +64,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = load_config(args.config)
-        overrides = {}
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if overrides:
-            config = replace(config, **overrides)
-    except OSError as exc:
-        # A missing file, a directory, or a file without read permission.
-        return _fail(f"cannot read config file: {exc.filename}: {exc.strerror}", EXIT_RUNTIME)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except MemoryError as exc:
-        # A logspace grid too long to allocate; numpy's message names its size and shape.
-        return _fail(str(exc), EXIT_RUNTIME)
-    try:
-        result = run_sweep(config)
-    except (ValueError, MemoryError) as exc:
-        # A noise level or log-det ratio outside double precision range, or a failed allocation.
-        return _fail(str(exc), EXIT_RUNTIME)
-    try:
-        write_csv(result, args.out)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
+    config = load_config(args.config)
+    overrides = {"workers": args.workers, "master_seed": args.seed}
+    config = replace(config, **{key: value for key, value in overrides.items() if value is not None})
+    result = run_sweep(config)
+    write_csv(result, args.out)
     for row in result.rows:
         note = f" failures={row.failures}" if row.failures else ""
         print(
@@ -112,18 +84,11 @@ def cmd_demo_failure(args) -> int:
         return _fail(f"demo needs n >= 100, got {args.n}", EXIT_USAGE)
     if args.iters < 0:
         return _fail(f"iters must be >= 0, got {args.iters}", EXIT_USAGE)
-    try:
-        trace = reproduce_failure_demo(args.n, args.iters, args.seed)
-    except (ValueError, MemoryError, np.linalg.LinAlgError) as exc:
-        # A dense cost larger than physical memory, a failed allocation, or a least-squares failure.
-        return _fail(str(exc), EXIT_RUNTIME)
-    try:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write("iteration,hamming,residual\n")
-            for record in trace:
-                fh.write(f"{record.iteration},{record.hamming},{record.residual:.12g}\n")
-    except OSError as exc:
-        return _fail(f"cannot write trace to {args.out}: {exc}", EXIT_RUNTIME)
+    trace = reproduce_failure_demo(args.n, args.iters, args.seed)
+    with open(args.out, "w", encoding="ascii") as fh:
+        fh.write("iteration,hamming,residual\n")
+        for record in trace:
+            fh.write(f"{record.iteration},{record.hamming},{record.residual:.12g}\n")
     print(
         f"demo-failure: n={args.n} iterations={len(trace) - 1} "
         f"first_hamming={trace[0].hamming} last_hamming={trace[-1].hamming}",
@@ -137,24 +102,18 @@ def cmd_diagnose(args) -> int:
         return _fail(f"sigma must be >= 0, got {args.sigma}", EXIT_USAGE)
     if args.n < 3:
         return _fail(f"n must be >= 3, got {args.n}", EXIT_USAGE)
-    try:
-        b = read_matrix(args.b)
-    except FileNotFoundError as exc:
-        return _fail(f"cannot read signal file: {exc.filename}", EXIT_RUNTIME)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
+    if args.m is not None and args.m < 1:
+        return _fail(f"m must be >= 1, got {args.m}", EXIT_USAGE)
+    b = read_matrix(args.b)
     m = args.m if args.m is not None else b.shape[1]
-    if m < 1:
-        return _fail(f"m must be >= 1, got {m}", EXIT_USAGE)
-    try:
-        srank = stable_rank(b)
-        logdet = logdet_ratio(b, args.sigma, args.n) * math.log(args.n) if args.sigma > 0 else None
-        ratio = snr(b, m, args.sigma)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
-    print(f"stable_rank = {srank:.12g}")
-    print(f"regime = {classify_regime(srank, args.n)}")
+    # Every value is computed before the first line is printed, so a failure leaves stdout empty.
+    srank = stable_rank(b)
+    logdet = logdet_ratio(b, args.sigma, args.n) * math.log(args.n) if args.sigma > 0 else None
+    ratio = snr(b, m, args.sigma)
+    regime = classify_regime(srank, args.n)
     threshold = minimax_logdet_threshold(args.n)
+    print(f"stable_rank = {srank:.12g}")
+    print(f"regime = {regime}")
     print(f"minimax_threshold = {threshold:.12g}")
     if logdet is None:
         print("snr = noiseless")
@@ -206,9 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ConfigError as exc:  # before ValueError, which it subclasses
+        return _fail(str(exc), EXIT_USAGE)
+    except OSError as exc:
+        message = str(exc) if exc.filename is None else f"cannot open {exc.filename}: {exc.strerror}"
+        return _fail(message, EXIT_RUNTIME)
+    except (ValueError, MemoryError, np.linalg.LinAlgError) as exc:  # bad data, allocation, numerics
+        return _fail(str(exc), EXIT_RUNTIME)
 
 
 if __name__ == "__main__":

@@ -120,14 +120,16 @@ def build_onestep_cost(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 @blas.single_threaded()
 def one_step_estimate(x, y) -> EstimationResult:
-    """Single assignment solve on Y Y^T X X^T, then one least-squares solve."""
-    xa, ya = _validate_pair(x, y)
+    """Single assignment solve on Y Y^T X X^T, then one least-squares solve.
+
+    The inputs are checked by ``build_onestep_cost`` and ``least_squares_signal``.
+    """
+    left, xa = build_onestep_cost(x, y)
     n, p = xa.shape
     if n < p:
         raise ValueError(f"one-step estimation needs n >= p, got n={n}, p={p}")
-    left, right = build_onestep_cost(xa, ya)
-    assignment = lap_maximize(left, right)
-    b_hat = least_squares_signal(xa, ya, assignment.perm)
+    assignment = lap_maximize(left, xa)
+    b_hat = least_squares_signal(xa, y, assignment.perm)
     return EstimationResult(
         perm_hat=assignment.perm,
         b_hat=b_hat,

@@ -306,11 +306,8 @@ def format_csv(result: SweepResult) -> str:
 
 
 def write_csv(result: SweepResult, path) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(format_csv(result))
-    except OSError as exc:
-        raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(format_csv(result))
 
 
 def parse_csv(path) -> SweepResult:
@@ -354,7 +351,8 @@ def _parse_snr_grid(value: str) -> tuple:
             start, stop, count = float(args[0]), float(args[1]), int(args[2])
             if count < 1:
                 raise ConfigError(f"logspace count must be >= 1, got {count}")
-            grid.extend(float(v) for v in np.logspace(start, stop, count))
+            with np.errstate(over="raise"):  # 10**stop past the double range is an error, not inf
+                grid.extend(float(v) for v in np.logspace(start, stop, count))
         else:
             try:
                 grid.append(float(token))
@@ -389,7 +387,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             values[key] = _VALUE_PARSERS.get(kind, kind)(value)
         except ConfigError:
             raise
-        except ValueError as exc:
+        except (ValueError, FloatingPointError) as exc:
             reason = f"key {key!r} needs {_NUMBER_NOUNS[kind]}" if kind in _NUMBER_NOUNS else exc
             raise ConfigError(f"line {line_no}: {reason}") from None
     missing = [key for key in _REQUIRED_KEYS if key not in values]

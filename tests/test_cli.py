@@ -1,11 +1,17 @@
+import io
+import itertools
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import shufflereg.cli
 import shufflereg.experiments
 import shufflereg.lap
 from shufflereg.cli import main
@@ -244,7 +250,7 @@ class TestSimulate:
         out = tmp_path / "missing" / "s.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"error: cannot write sweep CSV to {out}" in err
+        assert err == f"error: cannot open {out}: No such file or directory\n"
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -253,7 +259,7 @@ class TestSimulate:
         directory.mkdir()
         proc = run_cli("simulate", "--config", directory, "--out", tmp_path / "a.csv")
         assert proc.returncode == 1
-        assert proc.stderr == f"error: cannot read config file: {directory}: Is a directory\n"
+        assert proc.stderr == f"error: cannot open {directory}: Is a directory\n"
         latin1 = tmp_path / "latin1.cfg"
         latin1.write_bytes(b"n = 20\np = 2\nm = 2\nh = 0\n# caf\xe9\n")
         proc = run_cli("simulate", "--config", latin1, "--out", tmp_path / "b.csv")
@@ -281,6 +287,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_signal_error_whose_squares_overflow_is_finite(self, tmp_path, capsys):
+        # sigma = 1e154 at snr 1e-308, so ||B_hat - B||_F^2 overflowed: the CSV read inf, with a warning.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 12\np = 3\nm = 2\nh = 0\ntrials = 1\nsnr_grid = 1e-308\nestimator = oracle_perm\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+        assert 1e150 < float(row["mean_rel_b_error"]) < 1e160
+        assert "Warning" not in capsys.readouterr().err
 
     def test_overflowing_observation_is_runtime_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -454,3 +470,214 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr, parsed) of ``main`` in-process; argparse's exit counts as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    parsed = True
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([str(arg) for arg in argv])
+        except SystemExit as exc:
+            code, parsed = exc.code, False
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+def assert_one_error_line(code, out, err, expected_code=1):
+    assert code == expected_code
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n")
+
+
+class TestErrorPath:
+    """Every command raises; ``main`` alone maps the exception to an exit code and one line."""
+
+    def test_missing_inputs_and_outputs_name_path_and_reason(self, tmp_path):
+        _, x_path, y_path = write_instance(tmp_path)
+        nope = tmp_path / "nope.txt"
+        nodir = tmp_path / "missing" / "out.txt"
+        b_path = tmp_path / "b.txt"
+        write_matrix(build_canonical_signal(3, 2, 1.0), b_path)
+        cases = [
+            (["solve", "--x", nope, "--y", y_path, "--out-perm", tmp_path / "p", "--out-b", tmp_path / "b"], nope),
+            (["solve", "--x", x_path, "--y", y_path, "--out-perm", nodir, "--out-b", tmp_path / "b"], nodir),
+            (["solve", "--x", x_path, "--y", y_path, "--out-perm", tmp_path / "p", "--out-b", nodir], nodir),
+            (["simulate", "--config", nope, "--out", tmp_path / "s.csv"], nope),
+            (["demo-failure", "--n", "100", "--iters", "0", "--out", nodir], nodir),
+            (["diagnose", "--b", nope, "--sigma", "1", "--n", "100"], nope),
+        ]
+        for argv, path in cases:
+            code, out, err, _ = run_main(argv)
+            assert_one_error_line(code, out, err)
+            assert err == f"error: cannot open {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "attr,argv",
+        [
+            ("one_step_estimate", ["solve", "--x", "x.txt", "--y", "y.txt", "--out-perm", "p", "--out-b", "b"]),
+            ("stable_rank", ["diagnose", "--b", "b.txt", "--sigma", "1", "--n", "100"]),
+        ],
+    )
+    def test_failed_allocation_is_runtime_error(self, tmp_path, monkeypatch, attr, argv):
+        _, x_path, y_path = write_instance(tmp_path)
+        write_matrix(build_canonical_signal(3, 2, 1.0), tmp_path / "b.txt")
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) and data type float64"
+        refuse_allocation(monkeypatch, shufflereg.cli, attr, message)
+        monkeypatch.chdir(tmp_path)
+        code, out, err, _ = run_main(argv)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("shape", [(11, 1), (1, 11)], ids=["column", "row"])
+    def test_diagnose_rank_one_signal_is_the_unknown_regime(self, tmp_path, shape):
+        # This Gaussian column's stable rank once rounded to 0.9999999999999999 and crashed diagnose.
+        b_path = tmp_path / "b.txt"
+        write_matrix(np.random.default_rng(0).standard_normal((11, 1)).reshape(shape), b_path)
+        code, out, err, _ = run_main(["diagnose", "--b", b_path, "--sigma", "0.5", "--n", "500"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["stable_rank = 1", "regime = unknown"]
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [("--n", "log n! overflows double precision at n of about 1e401"),
+         ("--m", "m of about 1e401 overflows double precision")],
+        ids=["n", "m"],
+    )
+    def test_diagnose_count_past_double_range_fails_before_printing(self, tmp_path, flag, message):
+        b_path = tmp_path / "b.txt"
+        write_matrix(build_canonical_signal(3, 2, 1.0), b_path)
+        argv = ["diagnose", "--b", b_path, "--sigma", "1", "--n", "500", flag, "9" * 401]
+        code, out, err, _ = run_main(argv)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {message}\n"
+
+
+HUGE = "9" * 401
+# Per config key: values that pass validation (with n >= 12, so every h here is valid), then
+# values that fail it or sit at the edge of double range. Only keys that are rejected or never
+# size an allocation get a huge integer.
+_CONFIG_VALUES = {
+    "n": (["12", "30", "40"], ["0", "-3", "2", "nan", "1e308", "\u00e9"]),
+    "p": (["1", "2", "3"], ["0", "-1", "41", "inf"]),
+    "m": (["1", "2", "3"], ["0", "-1", "1.5"]),
+    "h": (["0", "2", "12"], ["1", "-2", "41", HUGE]),
+    "dist": (["gaussian", "rademacher"], ["cauchy", "\u00e9"]),
+    "signal": (["canonical"], ["random"]),
+    "signal_scale": (["1", "2.5", "1e-3"], ["0", "-1", "nan", "inf", "1e308", "1e-308"]),
+    "snr_grid": (
+        ["1", "0.5, 5, noiseless", "1, inf", "logspace(-1, 1, 3)"],
+        ["0", "-1", "nan", "1e308", "1e-308", "noiseless, 1", "1, 1", "logspace(0, 1, 0)",
+         "logspace(a, 1, 2)", "logspace(1e308, 1, 2)", "logspace(-400, 400, 3)", "logspace(nan, 1, 2)", "logspace(0, 1)"],
+    ),
+    "trials": (["1", "2"], ["0", "-1", "nan"]),
+    "master_seed": (["0", "7", "-5", HUGE], ["nan", "1.5"]),
+    "estimator": (["one_step", "oracle_perm", "alt_min(2)"], ["alt_min(0)", "one_step(3)", "bogus"]),
+    "workers": (["1", "2", "3"], ["0", "-2"]),
+}
+_ALWAYS = ("n", "p", "m", "h", "trials", "snr_grid")
+
+
+def valid_or_edge(valid, edge):
+    """A valid value about half the time, so that most draws get past the first check."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(edge))
+
+
+@st.composite
+def config_bytes(draw):
+    """A valid tiny config with up to two keys set to edge values, and optional damage around it."""
+    # trials and snr_grid are always set: their defaults (100 trials, 10 points) are not tiny.
+    optional = [key for key in _CONFIG_VALUES if key not in _ALWAYS]
+    keys = [*_ALWAYS, *draw(st.lists(st.sampled_from(optional), unique=True))]
+    edged = set(draw(st.lists(st.sampled_from(keys), max_size=2)))
+    values = {key: draw(st.sampled_from(_CONFIG_VALUES[key][key in edged])) for key in keys}
+    dropped = draw(st.sampled_from([None, None, None, "n", "h"]))  # a missing required key
+    lines = [f"{key} = {value}" for key, value in values.items() if key != dropped]
+    extra = ["# comment", "", "no equals sign", "bogus = 1", "caf\u00e9 = 1", f"p = {values['p']}"]
+    lines += draw(st.lists(st.sampled_from(extra), max_size=1))
+    data = "\n".join(draw(st.permutations(lines))).encode("utf-8")
+    return data + draw(st.sampled_from([b"", b"\n", b"\n# caf\xe9\n"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Tiny input files of every kind, plus output paths that do and do not work."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((12, 2))
+    write_matrix(x, root / "x.txt")
+    write_matrix(x[rng.permutation(12)] @ rng.standard_normal((2, 2)), root / "y.txt")
+    write_matrix(np.hstack([x[:, :1], x[:, :1]]), root / "x_rank1.txt")
+    write_matrix(rng.standard_normal((3, 2)), root / "b.txt")
+    write_matrix(rng.standard_normal((11, 1)), root / "b_col.txt")
+    (root / "ragged.txt").write_text("3 2\n1 2\n3\n4 5\n")
+    (root / "non_ascii.txt").write_bytes(b"2 1\n\xe9\n1\n")
+    (root / "nan.txt").write_text("2 1\nnan\n1\n")
+    (root / "zero.txt").write_text("2 2\n0 0\n0 0\n")
+    (root / "empty.txt").write_text("")
+    (root / "huge.txt").write_text("2 2\n1e300 0\n0 1e-300\n")
+    (root / "dir").mkdir()
+    (root / "out").mkdir()
+    return root
+
+
+_BROKEN_INPUTS = ["ragged.txt", "non_ascii.txt", "nan.txt", "empty.txt", "missing.txt", "dir"]
+_BROKEN_OUTPUTS = ["missing/a", "dir"]
+_config_counter = itertools.count()
+
+
+@st.composite
+def cli_argv(draw, root):
+    """argv for one of the four subcommands over tiny inputs, valid or broken."""
+    def path(valid, broken):
+        return str(root / draw(valid_or_edge(valid, broken)))
+
+    def out():
+        return path(["out/a", "out/b"], _BROKEN_OUTPUTS)
+
+    command = draw(st.sampled_from(["solve", "simulate", "demo-failure", "diagnose"]))
+    if command == "solve":
+        # At most one argument is broken, so that most draws reach the solve and the writes.
+        broken = draw(st.sampled_from([None, "--x", "--y", "--out-perm", "--out-b"]))
+        valid = {"--x": ["x.txt", "x_rank1.txt", "huge.txt"], "--y": ["y.txt", "b.txt"],
+                 "--out-perm": ["out/a"], "--out-b": ["out/b"]}
+        argv = [command]
+        for flag, names in valid.items():
+            choices = (_BROKEN_OUTPUTS if flag.startswith("--out") else _BROKEN_INPUTS) if flag == broken else names
+            argv += [flag, str(root / draw(st.sampled_from(choices)))]
+        return argv
+    if command == "simulate":
+        config = root / f"config{next(_config_counter)}.cfg"
+        config.write_bytes(draw(config_bytes()))
+        argv = [command, "--config", path([config.name], ["missing.txt", "dir"]), "--out", out()]
+        for flag, values in (("--workers", [1, 3, 0, -1]), ("--seed", [0, -1, HUGE])):
+            value = draw(st.sampled_from([None, *values]))
+            if value is not None:
+                argv += [flag, value]
+        return argv
+    if command == "demo-failure":
+        return [command, "--n", draw(st.one_of(st.integers(100, 150), st.integers(-5, 99), st.just("1e3"))),
+                "--iters", draw(st.integers(-1, 3)), "--seed", draw(st.sampled_from([0, -1, HUGE])),
+                "--out", out()]
+    argv = [command, "--b", path(["b.txt", "b_col.txt", "huge.txt", "zero.txt"], _BROKEN_INPUTS),
+            "--sigma", draw(valid_or_edge(["0", "1", "0.5", "1e-3"], ["-0", "-1", "nan", "inf", "1e308", "1e-308"])),
+            "--n", draw(valid_or_edge([3, 500, 10**20], [-1, 0, 2, HUGE]))]
+    m = draw(valid_or_edge([None, 1, 3], [-1, 0, HUGE]))
+    return argv if m is None else [*argv, "--m", m]
+
+
+class TestFuzzMain:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_every_input_ends_in_a_code_and_one_error_line(self, fuzz_dir, data):
+        argv = data.draw(cli_argv(fuzz_dir))
+        code, out, err, parsed = run_main(argv)
+        assert code in (0, 1, 2)
+        if code == 0:
+            return
+        assert out == ""
+        if parsed:
+            assert_one_error_line(code, out, err, expected_code=code)
+        else:
+            assert code == 2 and ": error: " in err.splitlines()[-1]

@@ -4,6 +4,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shufflereg.experiments import ExperimentConfig, sigma_for_snr
 from shufflereg.metrics import (
@@ -81,6 +84,31 @@ class TestStableRank:
             assert 1.0 - 1e-12 <= sr <= rank + 1e-9
             assert sr == pytest.approx(float(np.sum(svals**2) / svals[0] ** 2))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        length=st.integers(1, 40),
+        single_row=st.booleans(),
+    )
+    def test_single_row_or_column_is_at_least_one(self, data, length, single_row):
+        # Rank one: the two norms agree exactly, and the computed ratio must not round below 1.
+        b = data.draw(
+            hnp.arrays(
+                np.float64,
+                (1, length) if single_row else (length, 1),
+                elements=st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+            )
+        )
+        assume(np.any(b != 0))
+        sr = stable_rank(b)
+        assert 1.0 <= sr <= 1.0 + 1e-12
+
+    def test_gaussian_column_that_rounded_below_one(self):
+        # An eigvalsh top eigenvalue an ulp above ||b||_F^2 once gave 0.9999999999999999.
+        b = np.random.default_rng(0).standard_normal((11, 1))
+        assert stable_rank(b) == 1.0
+        assert stable_rank(b.T) == 1.0
+
     @pytest.mark.parametrize(
         "shape",
         [(1, 1), (2, 39), (17, 5), (40, 40), (2001, 3), (3, 2500), (300, 2001)],
@@ -146,6 +174,13 @@ class TestSnr:
         assert snr(np.diag([1e154, 1e154]), 2, 1.0) == pytest.approx(1e308, rel=1e-15)
         assert snr(np.array([[1e-170]]), 1, 1e-170) == pytest.approx(1.0, rel=1e-15)
         assert snr(np.array([[1.7e308]]), 1, 1e155) == pytest.approx(2.89e306, rel=1e-15)
+
+    def test_count_past_double_range_is_value_error(self):
+        # float(m) overflows above 1.8e308; the message gives its size, not its 401 digits.
+        with pytest.raises(ValueError) as err:
+            snr(np.ones((2, 2)), 10**400, 1.0)
+        assert str(err.value) == "m of about 1e400 overflows double precision"
+        assert snr(np.ones((2, 2)), 10**300, 1.0) == 4.0 / 10**300
 
     @pytest.mark.parametrize("b,m,sigma", [([[1.0]], 1, 1e-200), ([[1e154, 0], [0, 1e154]], 1, 1.0)])
     def test_overflow_is_rejected(self, b, m, sigma):
@@ -213,6 +248,13 @@ class TestMinimaxThreshold:
         # log n! / n ~ log n - 1 by Stirling.
         assert value == pytest.approx(math.log(1e6) - 1.0, rel=1e-3)
 
+    @pytest.mark.parametrize("n", [3 * 10**305, 10**400], ids=["lgamma-range", "float-range"])
+    def test_overflow_is_value_error_without_the_digits(self, n):
+        # lgamma overflows above n ~ 2.5e305, and n itself leaves the double range at 1.8e308.
+        with pytest.raises(ValueError, match=r"^log n! overflows double precision at n of about 1e") as err:
+            minimax_logdet_threshold(n)
+        assert len(str(err.value)) < 80
+
 
 class TestRegimeClassification:
     def test_below_c0_is_unknown(self):
@@ -259,3 +301,21 @@ class TestRelativeSignalError:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             relative_signal_error(np.ones((2, 2)), np.ones((2, 3)))
+
+    def test_error_whose_squares_overflow(self):
+        # ||B_hat - B||_F^2 is about 1.25e308 * 1e0 and overflowed to inf with a RuntimeWarning.
+        b_hat, b = np.array([[1e154, -5e153]]), np.array([[1.0, 0.0]])
+        assert relative_signal_error(b_hat, b) == pytest.approx(math.hypot(1e154 - 1.0, 5e153), rel=1e-15)
+        assert relative_signal_error(np.array([[1e-170]]), np.array([[2e-170]])) == 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    def test_equals_the_plain_ratio_where_it_stays_in_range(self, data, shape):
+        # Magnitudes in [1e-100, 1e100] or 0: no square or sum of squares leaves the normal range.
+        magnitude = st.one_of(st.just(0.0), st.floats(1e-100, 1e100))
+        elements = st.builds(lambda v, sign: sign * v, magnitude, st.sampled_from([1.0, -1.0]))
+        b_hat = data.draw(hnp.arrays(np.float64, shape, elements=elements))
+        b = data.draw(hnp.arrays(np.float64, shape, elements=elements))
+        assume(np.any(b != 0))
+        plain = float(np.linalg.norm(b_hat - b)) / float(np.linalg.norm(b))
+        assert relative_signal_error(b_hat, b) == plain
