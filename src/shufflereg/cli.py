@@ -80,10 +80,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_demo_failure(args) -> int:
-    if args.n < 100:
-        return _fail(f"demo needs n >= 100, got {args.n}", EXIT_USAGE)
-    if args.iters < 0:
-        return _fail(f"iters must be >= 0, got {args.iters}", EXIT_USAGE)
     trace = reproduce_failure_demo(args.n, args.iters, args.seed)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write("iteration,hamming,residual\n")

@@ -1,25 +1,27 @@
 """Estimators for the row-shuffled linear model.
 
-* ``one_step_estimate`` — one assignment solve on the cost Y Y^T X X^T,
-  followed by one least-squares solve. Tuning-free: needs neither the noise
-  level nor the number of displaced rows.
-* ``oracle_permutation_estimate`` — assignment solve with the true signal as
-  the matching direction (invariant to positive rescaling of it), followed by
-  the same least-squares solve.
+Every estimator is built on one match-and-fit step: an assignment solve on a
+matching cost C = L R^T, then a least-squares solve on the matched rows.
+
+* ``one_step_estimate`` — the step on the cost Y Y^T X X^T. Tuning-free: needs
+  neither the noise level nor the number of displaced rows.
+* ``oracle_permutation_estimate`` — the step on the cost Y (X B)^T for a
+  known matching direction B (invariant to positive rescaling of it).
 * ``least_squares_signal`` — signal recovery for a known permutation using an
   orthogonal factorization; the normal equations are never formed.
-* ``alternating_minimization`` — diagnostic baseline alternating assignment
-  and least-squares steps; reports a full per-iteration trace so stagnation
-  is observable.
+* ``alternating_minimization`` — diagnostic baseline: each iteration is the
+  oracle step with the previous estimate as B. Reports a full per-iteration
+  trace so stagnation is observable.
 * ``reduce_known_direction`` — collapses a p-column problem with known signal
   direction e to the single-column model on the projection X e.
 
 The one-step, oracle and alternating estimators return an
 ``EstimationResult`` (alternating minimization's subclass adds the trace), so
-a caller reads ``perm_hat`` and ``b_hat`` the same way from each.
+a caller reads ``perm_hat`` and ``b_hat`` the same way from each. Every
+estimator needs n >= p, checked once with the other input checks.
 
-The four estimators run with OpenBLAS at one thread (``shufflereg.blas``), so
-their results do not depend on the machine's core count.
+Every public function here runs with OpenBLAS at one thread
+(``shufflereg.blas``), so its results do not depend on the machine's core count.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import blas, instrument
-from .lap import Assignment, lap_maximize
+from .lap import lap_maximize
 from .metrics import hamming_distance
 from .model import Permutation, apply_permutation, require_matrix
 
@@ -65,8 +67,11 @@ class AltMinResult(EstimationResult):
 def _validate_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     xa = require_matrix(x, "x")
     ya = require_matrix(y, "y")
-    if xa.shape[0] != ya.shape[0]:
-        raise ValueError(f"x has {xa.shape[0]} rows but y has {ya.shape[0]}")
+    n, p = xa.shape
+    if ya.shape[0] != n:
+        raise ValueError(f"x has {n} rows but y has {ya.shape[0]}")
+    if n < p:
+        raise ValueError(f"estimation needs n >= p, got n={n}, p={p}")
     return xa, ya
 
 
@@ -88,9 +93,7 @@ def _qr_full_rank(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def least_squares_signal(x, y, perm: Permutation) -> np.ndarray:
     """argmin_B || inverse-permuted Y - X B ||_F via QR, columnwise back-substitution."""
     xa, ya = _validate_pair(x, y)
-    n, p = xa.shape
-    if n < p:
-        raise ValueError(f"least squares needs n >= p, got n={n}, p={p}")
+    n = xa.shape[0]
     if len(perm) != n:
         raise ValueError(f"permutation length {len(perm)} != n={n}")
     instrument.record("ls_solve")
@@ -102,6 +105,7 @@ def least_squares_signal(x, y, perm: Permutation) -> np.ndarray:
     return solve_triangular(r, q.T @ aligned, lower=False, check_finite=False)
 
 
+@blas.single_threaded()
 def build_onestep_cost(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Factors (Y (Y^T X), X) of the n-by-n matching cost C = Y Y^T X X^T.
 
@@ -118,42 +122,34 @@ def build_onestep_cost(x, y) -> tuple[np.ndarray, np.ndarray]:
     return left, xa
 
 
-@blas.single_threaded()
-def one_step_estimate(x, y) -> EstimationResult:
-    """Single assignment solve on Y Y^T X X^T, then one least-squares solve.
-
-    The inputs are checked by ``build_onestep_cost`` and ``least_squares_signal``.
-    """
-    left, xa = build_onestep_cost(x, y)
-    n, p = xa.shape
-    if n < p:
-        raise ValueError(f"one-step estimation needs n >= p, got n={n}, p={p}")
-    assignment = lap_maximize(left, xa)
-    b_hat = least_squares_signal(xa, y, assignment.perm)
+def _match_and_fit(xa: np.ndarray, y, left, right) -> EstimationResult:
+    """Assignment solve on C = left @ right.T, then least squares on the matched rows."""
+    assignment = lap_maximize(left, right)
     return EstimationResult(
         perm_hat=assignment.perm,
-        b_hat=b_hat,
+        b_hat=least_squares_signal(xa, y, assignment.perm),
         objective=assignment.objective,
         iterations=1,
     )
+
+
+@blas.single_threaded()
+def one_step_estimate(x, y) -> EstimationResult:
+    """Single assignment solve on Y Y^T X X^T, then one least-squares solve."""
+    left, xa = build_onestep_cost(x, y)
+    return _match_and_fit(xa, y, left, xa)
 
 
 @blas.single_threaded()
 def oracle_permutation_estimate(x, y, b_true) -> EstimationResult:
     """Assignment solve on Y (X B)^T for a known matching direction B, then least squares."""
     xa, ya = _validate_pair(x, y)
-    ba = require_matrix(b_true, "b_true")
+    ba = require_matrix(b_true, "signal")
     if ba.shape[0] != xa.shape[1]:
-        raise ValueError(f"b_true has {ba.shape[0]} rows but x has {xa.shape[1]} columns")
+        raise ValueError(f"signal has {ba.shape[0]} rows but x has {xa.shape[1]} columns")
     if ba.shape[1] != ya.shape[1]:
-        raise ValueError(f"b_true has {ba.shape[1]} columns but y has {ya.shape[1]}")
-    assignment = lap_maximize(ya, xa @ ba)
-    return EstimationResult(
-        perm_hat=assignment.perm,
-        b_hat=least_squares_signal(xa, ya, assignment.perm),
-        objective=assignment.objective,
-        iterations=1,
-    )
+        raise ValueError(f"signal has {ba.shape[1]} columns but y has {ya.shape[1]}")
+    return _match_and_fit(xa, ya, ya, xa @ ba)
 
 
 def _residual(x: np.ndarray, y: np.ndarray, perm: Permutation, b: np.ndarray) -> float:
@@ -172,50 +168,44 @@ def alternating_minimization(
 ) -> AltMinResult:
     """Alternate assignment and least-squares steps starting from ``init_b``.
 
-    ``init_b`` defaults to X^T Y, so iteration 0 reproduces the one-step
-    estimate. Each half-step minimizes the shared residual ||Y - P X B||_F,
-    which is therefore non-increasing along the trace. Stops after
-    ``max_iters`` further iterations, or earlier once the permutation repeats
-    (a fixed point) unless ``stop_on_repeat`` is false. When ``ref_perm`` is
-    given, each record carries the Hamming distance to it.
+    Each iteration is ``oracle_permutation_estimate`` with the previous
+    estimate as the matching direction; ``init_b`` defaults to X^T Y, so
+    iteration 0 reproduces the one-step estimate. Each half-step minimizes the
+    shared residual ||Y - P X B||_F, which is therefore non-increasing along
+    the trace. Stops after ``max_iters`` further iterations, or earlier once
+    the permutation repeats (a fixed point) unless ``stop_on_repeat`` is
+    false. When ``ref_perm`` is given, each record carries the Hamming
+    distance to it.
     """
     xa, ya = _validate_pair(x, y)
-    n, p = xa.shape
-    if n < p:
-        raise ValueError(f"alternating minimization needs n >= p, got n={n}, p={p}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    b = require_matrix(init_b, "init_b") if init_b is not None else xa.T @ ya
-
+    b = xa.T @ ya if init_b is None else init_b
     trace: list[AltMinRecord] = []
-    perm_prev: Permutation | None = None
-    assignment: Assignment | None = None
-    b_hat = b
     for t in range(max_iters + 1):
-        assignment = lap_maximize(ya, xa @ b)
-        perm = assignment.perm
-        b_hat = least_squares_signal(xa, ya, perm)
+        est = oracle_permutation_estimate(xa, ya, b)
+        perm = est.perm_hat
         trace.append(
             AltMinRecord(
                 iteration=t,
                 perm=perm,
-                residual=_residual(xa, ya, perm, b_hat),
+                residual=_residual(xa, ya, perm, est.b_hat),
                 hamming=None if ref_perm is None else hamming_distance(perm, ref_perm),
             )
         )
-        if stop_on_repeat and perm_prev is not None and perm == perm_prev:
+        if stop_on_repeat and t > 0 and perm == trace[-2].perm:
             break
-        perm_prev = perm
-        b = b_hat
+        b = est.b_hat
     return AltMinResult(
-        perm_hat=trace[-1].perm,
-        b_hat=b_hat,
-        objective=assignment.objective,
+        perm_hat=perm,
+        b_hat=est.b_hat,
+        objective=est.objective,
         iterations=len(trace),
         trace=tuple(trace),
     )
 
 
+@blas.single_threaded()
 def reduce_known_direction(x, e) -> np.ndarray:
     """Project the design onto a known unit signal direction.
 

@@ -88,8 +88,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.p < 1 or self.m < 1:
-            raise ConfigError(f"dimensions must be positive, got n={self.n}, p={self.p}, m={self.m}")
+        limit = np.iinfo(np.intp).max  # numpy's largest array dimension
+        for key in ("n", "p", "m"):
+            if not 1 <= getattr(self, key) <= limit:
+                raise ConfigError(f"{key} must lie in [1, {limit}], got {getattr(self, key)}")
         if self.n < self.p:
             raise ConfigError(f"n must be >= p, got n={self.n}, p={self.p}")
         if self.h < 0 or self.h > self.n or self.h == 1:
@@ -269,12 +271,13 @@ def reproduce_failure_demo(n: int, max_iters: int, seed: int):
     trace always has ``max_iters + 1`` records carrying the Hamming distance
     to the true permutation. With every row displaced the matching has no
     correctly aligned anchor rows, and the iteration stalls far from the
-    truth; light shuffles (h well below n) let it escape.
+    truth; light shuffles (h well below n) let it escape. Raises ConfigError
+    for n < 100 or max_iters < 0.
     """
     if n < 100:
-        raise ValueError(f"demo needs n >= 100, got {n}")
+        raise ConfigError(f"demo needs n >= 100, got {n}")
     if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+        raise ConfigError(f"max_iters must be >= 0, got {max_iters}")
     b_true = np.array([[1000.0], [1000.0]])
     inst = synthesize_instance(n, 2, 1, n, DistributionKind.GAUSSIAN, b_true, 0.0, seed)
     result = alternating_minimization(

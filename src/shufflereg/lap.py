@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from . import instrument
+from . import blas, instrument
 from .model import Permutation
 
 # Above this size the lexicographic tie pass (tie test, then re-solves of tied rows) is skipped.
@@ -198,6 +198,7 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+@blas.single_threaded()
 def lap_maximize(left, right=None) -> Assignment:
     """Permutation maximizing sum_i C[i, pi(i)] exactly, for C = left @ right.T.
 

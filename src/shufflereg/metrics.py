@@ -222,6 +222,7 @@ def classify_regime(
     return RegimeLabel.UNKNOWN
 
 
+@blas.single_threaded()
 def relative_signal_error(b_hat, b_true) -> float:
     """||B_hat - B_true||_F / ||B_true||_F, each norm over a power of two so no square overflows."""
     hat = require_matrix(b_hat, "b_hat")

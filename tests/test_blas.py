@@ -143,6 +143,12 @@ ENTRY_POINTS = {
         40, 3, 2, 10, DistributionKind.GAUSSIAN, inst.b_true, 0.1, 2
     ),
     "stable_rank": lambda inst: metrics.stable_rank(inst.b_true),
+    "build_onestep_cost": lambda inst: estimators.build_onestep_cost(inst.x, inst.y),
+    "lap_maximize": lambda inst: shufflereg.lap.lap_maximize(inst.x, inst.x),
+    "reduce_known_direction": lambda inst: estimators.reduce_known_direction(inst.x, [0.6, 0.8, 0.0]),
+    "relative_signal_error": lambda inst: metrics.relative_signal_error(
+        2.0 * inst.b_true, inst.b_true
+    ),
 }
 
 
@@ -160,11 +166,14 @@ def test_entry_points_see_one_thread_and_restore_the_callers(builds, monkeypatch
 
         monkeypatch.setattr(module, attr, wrapper)
 
-    # The calls inside the entry points that reach BLAS, LAPACK or the assignment solver.
+    # The calls inside the entry points that reach BLAS, LAPACK or the assignment solver,
+    # and the estimators' input checks, which run just before their `@` products.
     spy(shufflereg.lap, "linear_sum_assignment")
     spy(np.linalg, "qr")
     spy(np.linalg, "eigvalsh")
+    spy(np.linalg, "norm")
     spy(model, "sample_design_matrix")
+    spy(estimators, "require_matrix")
     caller = [2 + i for i in range(len(builds))]
     set_counts(builds, caller)
     ENTRY_POINTS[name](inst)

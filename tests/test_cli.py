@@ -244,6 +244,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["m", "n"])
+    def test_dimension_past_numpy_limit_is_usage_error_naming_key(self, tmp_path, capsys, key):
+        # Only values past np.intp's range: the check must fire before anything is allocated.
+        dims = {"n": 60, "p": 6, "m": 6, key: 100000000000000000000}
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in dims.items()) + "h = 10\ntrials = 1\nsnr_grid = 1\n")
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must lie in [1, {np.iinfo(np.intp).max}], got 100000000000000000000\n"
+        assert not out.exists()
+
     def test_unwritable_out_is_runtime_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(TINY_CONFIG)
@@ -321,6 +333,12 @@ class TestDemoFailure:
 
     def test_small_n_is_usage_error(self, tmp_path):
         assert main(["demo-failure", "--n", "50", "--out", str(tmp_path / "t.csv")]) == 2
+
+    def test_negative_iters_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["demo-failure", "--n", "150", "--iters", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: max_iters must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_cost_larger_than_memory_fails_with_its_size(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(shufflereg.lap, "_physical_memory_bytes", lambda: 8 * 150 * 150 - 1)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shufflereg import instrument
@@ -117,6 +117,21 @@ class TestOneStepEstimate:
         with pytest.raises(ValueError, match="n >= p"):
             one_step_estimate(np.ones((2, 3)), np.ones((2, 1)))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            build_onestep_cost,
+            one_step_estimate,
+            lambda x, y: oracle_permutation_estimate(x, y, np.ones((3, 1))),
+            lambda x, y: least_squares_signal(x, y, Permutation.identity(2)),
+            alternating_minimization,
+        ],
+        ids=["cost", "one_step", "oracle", "least_squares", "alt_min"],
+    )
+    def test_underdetermined_is_one_message_everywhere(self, call):
+        with pytest.raises(ValueError, match=r"^estimation needs n >= p, got n=2, p=3$"):
+            call(np.ones((2, 3)), np.ones((2, 1)))
+
     def test_rank_deficiency_reported_with_condition(self):
         x = np.ones((6, 2))  # duplicated column directions
         y = np.ones((6, 1))
@@ -218,7 +233,7 @@ class TestOraclePermutationEstimate:
         assert oracle_hits >= onestep_hits
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="columns"):
+        with pytest.raises(ValueError, match="^signal has 3 rows but x has 2 columns$"):
             oracle_permutation_estimate(np.ones((4, 2)), np.ones((4, 2)), np.ones((3, 2)))
 
 
@@ -301,6 +316,56 @@ class TestAlternatingMinimization:
         inst = synthesize_instance(30, 3, 2, 8, GAUSSIAN, b, 0.3, seed=6)
         result = alternating_minimization(inst.x, inst.y, max_iters=2)
         assert all(rec.hamming is None for rec in result.trace)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dist=st.sampled_from([GAUSSIAN, DistributionKind.RADEMACHER]),
+        n=st.integers(8, 24),
+        p=st.integers(1, 3),
+        m=st.integers(1, 3),
+        sigma=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_iteration_is_the_oracle_from_the_previous_estimate(
+        self, dist, n, p, m, sigma, seed
+    ):
+        inst = synthesize_instance(n, p, m, n // 2, dist, build_canonical_signal(p, m, 1.0), sigma, seed)
+        assume(np.linalg.matrix_rank(inst.x) == p)
+        iters = 3
+        trace = alternating_minimization(inst.x, inst.y, max_iters=iters, stop_on_repeat=False).trace
+        # Iteration 0 is the oracle from X^T Y; iteration t the oracle from iteration t-1's b_hat.
+        b = inst.x.T @ inst.y
+        for t in range(iters + 1):
+            oracle = oracle_permutation_estimate(inst.x, inst.y, b)
+            # The run stopped after iteration t ends with that iteration's estimate.
+            upto = alternating_minimization(inst.x, inst.y, max_iters=t, stop_on_repeat=False)
+            assert trace[t].perm.indices.tobytes() == oracle.perm_hat.indices.tobytes()
+            assert upto.perm_hat.indices.tobytes() == oracle.perm_hat.indices.tobytes()
+            assert upto.b_hat.tobytes() == oracle.b_hat.tobytes()
+            assert upto.objective == oracle.objective
+            residual = np.linalg.norm(inst.y - apply_permutation(oracle.perm_hat, inst.x @ oracle.b_hat))
+            assert trace[t].residual == float(residual)
+            b = oracle.b_hat
+
+    @pytest.mark.parametrize(
+        "init_b,message",
+        [
+            (np.ones((2, 2)), "signal has 2 rows but x has 3 columns"),
+            (np.ones((3, 1)), "signal has 1 columns but y has 2"),
+            (np.ones(3), "signal must be 2-D, got ndim=1"),
+            (np.array([[0.0, 1.0], [np.nan, 0.0], [0.0, 0.0]]), "signal contains non-finite entries"),
+            (np.full((3, 2), np.inf), "signal contains non-finite entries"),
+        ],
+        ids=["rows", "columns", "vector", "nan", "inf"],
+    )
+    def test_bad_init_b_raises_the_oracles_error(self, init_b, message):
+        inst = synthesize_instance(
+            20, 3, 2, 6, GAUSSIAN, build_canonical_signal(3, 2, 1.0), 0.1, seed=4
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            alternating_minimization(inst.x, inst.y, init_b=init_b)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            oracle_permutation_estimate(inst.x, inst.y, init_b)
 
 
 class TestKnownDirectionReduction:

@@ -102,6 +102,8 @@ class TestConfigValidation:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ConfigError, match="n must be >= p"):
             small_config(n=4)
+        with pytest.raises(ConfigError, match=r"^p must lie in \[1, \d+\], got 0$"):
+            small_config(p=0)
         with pytest.raises(ConfigError, match="h must lie"):
             small_config(h=1)
         with pytest.raises(ConfigError, match="trials"):
@@ -110,6 +112,11 @@ class TestConfigValidation:
             small_config(snr_grid=(1.0, 0.5))
         with pytest.raises(ConfigError, match="non-empty"):
             small_config(snr_grid=())
+        # Only values past np.intp's range, so the check must fire before anything is allocated.
+        limit = np.iinfo(np.intp).max
+        for key in ("m", "n"):
+            with pytest.raises(ConfigError, match=rf"^{key} must lie in \[1, {limit}\], got {10**20}$"):
+                small_config(**{key: 10**20})
 
 
 class TestRunTrial:
@@ -352,8 +359,12 @@ class TestFailureDemo:
         assert all(a >= b - 1e-9 * max(1.0, a) for a, b in zip(residuals, residuals[1:]))
 
     def test_small_n_rejected(self):
-        with pytest.raises(ValueError, match="n >= 100"):
+        with pytest.raises(ConfigError, match="^demo needs n >= 100, got 50$"):
             reproduce_failure_demo(50, 5, seed=0)
+
+    def test_negative_iters_rejected(self):
+        with pytest.raises(ConfigError, match="^max_iters must be >= 0, got -1$"):
+            reproduce_failure_demo(150, -1, seed=0)
 
 
 class TestCsv:
