@@ -95,11 +95,11 @@ def cmd_demo_failure(args) -> int:
 
 def cmd_diagnose(args) -> int:
     if not args.sigma >= 0:  # nan fails every comparison, so test for the valid range
-        return _fail(f"sigma must be >= 0, got {args.sigma}", EXIT_USAGE)
+        raise ConfigError(f"sigma must be >= 0, got {args.sigma}")
     if args.n < 3:
-        return _fail(f"n must be >= 3, got {args.n}", EXIT_USAGE)
+        raise ConfigError(f"n must be >= 3, got {args.n}")
     if args.m is not None and args.m < 1:
-        return _fail(f"m must be >= 1, got {args.m}", EXIT_USAGE)
+        raise ConfigError(f"m must be >= 1, got {args.m}")
     b = read_matrix(args.b)
     m = args.m if args.m is not None else b.shape[1]
     # Every value is computed before the first line is printed, so a failure leaves stdout empty.

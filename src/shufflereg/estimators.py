@@ -33,8 +33,8 @@ from scipy.linalg import solve_triangular
 
 from . import blas, instrument
 from .lap import lap_maximize
-from .metrics import hamming_distance
-from .model import Permutation, apply_permutation, require_matrix
+from .metrics import frobenius_norm, hamming_distance
+from .model import Permutation, require_finite, require_matrix
 
 _RANK_RTOL = 1e-10
 
@@ -102,7 +102,10 @@ def least_squares_signal(x, y, perm: Permutation) -> np.ndarray:
     aligned = np.empty_like(ya)
     aligned[perm.indices] = ya
     # Both operands come from the validated x and y, so scipy's finiteness scans are skipped.
-    return solve_triangular(r, q.T @ aligned, lower=False, check_finite=False)
+    return require_finite(
+        lambda: solve_triangular(r, q.T @ aligned, lower=False, check_finite=False),
+        "least-squares signal estimate B_hat overflows float64; rescale x or y",
+    )
 
 
 @blas.single_threaded()
@@ -114,11 +117,9 @@ def build_onestep_cost(x, y) -> tuple[np.ndarray, np.ndarray]:
     ValueError when finite inputs give a non-finite Y (Y^T X).
     """
     xa, ya = _validate_pair(x, y)
-    # Overflow is reported below as a ValueError, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        left = ya @ (ya.T @ xa)
-    if not np.all(np.isfinite(left)):
-        raise ValueError("one-step cost factor Y (Y^T X) overflows float64")
+    left = require_finite(
+        lambda: ya @ (ya.T @ xa), "one-step cost factor Y (Y^T X) overflows float64"
+    )
     return left, xa
 
 
@@ -149,11 +150,17 @@ def oracle_permutation_estimate(x, y, b_true) -> EstimationResult:
         raise ValueError(f"signal has {ba.shape[0]} rows but x has {xa.shape[1]} columns")
     if ba.shape[1] != ya.shape[1]:
         raise ValueError(f"signal has {ba.shape[1]} columns but y has {ya.shape[1]}")
-    return _match_and_fit(xa, ya, ya, xa @ ba)
+    direction = require_finite(lambda: xa @ ba, "oracle matching direction X B overflows float64")
+    return _match_and_fit(xa, ya, ya, direction)
 
 
 def _residual(x: np.ndarray, y: np.ndarray, perm: Permutation, b: np.ndarray) -> float:
-    return float(np.linalg.norm(y - apply_permutation(perm, x @ b)))
+    """||Y - P X B||_F; the row gather ``[perm.indices]`` is ``apply_permutation``'s row action."""
+    diff = require_finite(
+        lambda: y - (x @ b)[perm.indices],
+        "alternating-minimization residual Y - P X B overflows float64",
+    )
+    return frobenius_norm(diff, "alternating-minimization residual ||Y - P X B||_F")
 
 
 @blas.single_threaded()
@@ -180,7 +187,11 @@ def alternating_minimization(
     xa, ya = _validate_pair(x, y)
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    b = xa.T @ ya if init_b is None else init_b
+    b = init_b
+    if b is None:
+        b = require_finite(
+            lambda: xa.T @ ya, "alternating-minimization start X^T Y overflows float64"
+        )
     trace: list[AltMinRecord] = []
     for t in range(max_iters + 1):
         est = oracle_permutation_estimate(xa, ya, b)
@@ -221,4 +232,4 @@ def reduce_known_direction(x, e) -> np.ndarray:
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
-    return (xa @ (vec / norm))[:, None]
+    return require_finite(lambda: (xa @ (vec / norm))[:, None], "projection X e overflows float64")

@@ -185,11 +185,12 @@ def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> Tr
             result = oracle_permutation_estimate(inst.x, inst.y, inst.b_true)
         else:
             result = alternating_minimization(inst.x, inst.y, max_iters=alt_iters)
+        rel_b_error = relative_signal_error(result.b_hat, inst.b_true)
     except (ValueError, np.linalg.LinAlgError) as exc:
         return TrialResult(hamming=0, rel_b_error=math.nan, ok=False, error=str(exc))
     return TrialResult(
         hamming=hamming_distance(result.perm_hat, inst.perm_true),
-        rel_b_error=relative_signal_error(result.b_hat, inst.b_true),
+        rel_b_error=rel_b_error,
     )
 
 
@@ -234,10 +235,11 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     double range fails the sweep before any trial runs. The pairs then run in
     grid-major order, with OpenBLAS single-threaded for the whole sweep
     (``shufflereg.blas``): on the calling thread when ``config.workers`` is 1,
-    otherwise on a pool of ``config.workers`` threads. Either way each trial
-    starts from an empty ``contextvars`` context, so it sees numpy's default
-    floating-point error state whatever the caller set. The caller's BLAS
-    thread counts are restored on return, also when a trial raises.
+    otherwise on a pool of ``config.workers`` threads. Either way each trial,
+    and each row's aggregation, starts from an empty ``contextvars`` context,
+    so it sees numpy's default floating-point error state whatever the caller
+    set. The caller's BLAS thread counts are restored on return, also when a
+    trial raises.
     """
     sigmas = config._sigmas
 
@@ -256,7 +258,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     t = config.trials
     return SweepResult(
         rows=tuple(
-            _aggregate(config, g, sigma, results[g * t : (g + 1) * t])
+            contextvars.Context().run(_aggregate, config, g, sigma, results[g * t : (g + 1) * t])
             for g, sigma in enumerate(sigmas)
         )
     )

@@ -21,13 +21,18 @@ Larger problems return the solver's deterministic optimum: cost matrices with
 continuous random entries have a unique optimum with probability one, while
 the test, O(n^2) per Bellman-Ford round, costs more than the solve itself on
 such costs at n = 500 and 1000.
-Objectives on both solver and oracle paths are the same summation of the
-entries C[i, pi(i)] in ascending row order, so equality comparisons are exact.
+Every objective, on the solver, tie and oracle paths alike, is the same
+summation of the entries C[i, pi(i)] in ascending row order
+(``assignment_objective``), so equality comparisons are exact. A sum that
+overflows float64 raises ValueError (``model.require_finite``): the solver's
+optimum is summed before the tie pass compares anything, so every comparison
+is between finite sums, and a cost whose tie test overflows is refused too.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -35,12 +40,18 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import blas, instrument
-from .model import Permutation
+from .model import Permutation, require_finite
 
 # Above this size the lexicographic tie pass (tie test, then re-solves of tied rows) is skipped.
 LEX_TIEBREAK_MAX_N = 64
 
 BRUTE_FORCE_MAX_N = 10
+
+_COST_NOT_FINITE = "cost matrix contains NaN or infinite entries"
+_OBJECTIVE_OVERFLOWS = (
+    "assignment objective sum_i C[i, pi(i)] overflows float64 (above about 1.8e308); "
+    "rescale the inputs"
+)
 
 
 @dataclass(frozen=True)
@@ -51,10 +62,17 @@ class Assignment:
     objective: float
 
 
+def _canonical_sum(entries: np.ndarray) -> float:
+    """Sum of the chosen entries C[i, pi(i)], in ascending row order; ValueError if it overflows.
+
+    ``np.add.reduce`` is ``np.sum`` without its Python wrapper: the same pairwise summation.
+    """
+    return require_finite(lambda: float(np.add.reduce(entries)), _OBJECTIVE_OVERFLOWS)
+
+
 def assignment_objective(cost: np.ndarray, indices: np.ndarray) -> float:
-    """Canonical objective: sum of C[i, pi(i)] in ascending row order."""
-    n = cost.shape[0]
-    return float(np.sum(cost[np.arange(n), indices]))
+    """Canonical objective: sum of C[i, pi(i)] in ascending row order; ValueError on overflow."""
+    return _canonical_sum(cost[np.arange(cost.shape[0]), indices])
 
 
 def _square_cost(cost) -> np.ndarray:
@@ -66,12 +84,29 @@ def _square_cost(cost) -> np.ndarray:
     return arr
 
 
-def _require_finite(
-    arr: np.ndarray, message: str = "cost matrix contains NaN or infinite entries"
-) -> None:
-    # NaN propagates through min and max, so two scalars replace an n x n mask.
-    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise ValueError(message)
+def _reduced_costs(cost: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Reduced costs r = w + d_i - d_j of the exchange graph of pi (see ``_tied_components``).
+
+    If d still changes after n rounds, every r is 0: each edge then counts as
+    tight, so every row is flagged.
+    """
+    n = cost.shape[0]
+    held = cost[np.arange(n), indices]
+    w = held[:, None] - cost[:, indices]
+    # w has a zero diagonal, so d <= 0 and the rows below zero are the ones that changed.
+    d = w.min(axis=0)
+    changed = np.flatnonzero(d)
+    for _ in range(n - 1):
+        if not changed.size:
+            break
+        offers = w[changed]
+        offers += d[changed, None]
+        relaxed = offers.min(axis=0)
+        changed = np.flatnonzero(relaxed < d)
+        d[changed] = relaxed[changed]
+    if changed.size:
+        return np.zeros((n, n))
+    return w + d[:, None] - d[None, :]
 
 
 def _tied_components(cost: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
@@ -113,23 +148,13 @@ def _tied_components(cost: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
     not optimal in exact arithmetic and every row is flagged.
     """
     n = cost.shape[0]
-    held = cost[np.arange(n), indices]
-    w = held[:, None] - cost[:, indices]
-    # w has a zero diagonal, so d <= 0 and the rows below zero are the ones that changed.
-    d = w.min(axis=0)
-    changed = np.flatnonzero(d)
-    for _ in range(n - 1):
-        if not changed.size:
-            break
-        offers = w[changed]
-        offers += d[changed, None]
-        relaxed = offers.min(axis=0)
-        changed = np.flatnonzero(relaxed < d)
-        d[changed] = relaxed[changed]
-    if changed.size:
-        return [np.arange(n)]
+    reduced = require_finite(
+        lambda: _reduced_costs(cost, indices),
+        "assignment tie test overflows float64: a reduced cost "
+        "C[i, pi(i)] - C[i, pi(j)] + d_i - d_j passes about 1.8e308; rescale the inputs",
+    )
     tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())
-    tight = w + d[:, None] - d[None, :] <= tol
+    tight = reduced <= tol
     linked = np.flatnonzero((tight.sum(axis=0) > 1) & (tight.sum(axis=1) > 1))
     if not linked.size:
         return []
@@ -147,8 +172,8 @@ def _tied_components(cost: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
     return [linked[mutual[i]] for i in leaders]
 
 
-def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Refine an optimal assignment to the lex-smallest one of equal objective.
+def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray, best: float) -> np.ndarray:
+    """Refine an optimal assignment, objective ``best``, to the lex-smallest one of equal objective.
 
     Only the rows of ``_tied_components`` can move, and only among their own
     component's columns; components are independent, so each is refined on
@@ -163,14 +188,18 @@ def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray) -> np.nd
     objectives, which detects exactly the ties that are exact in double
     precision.
     """
-    # Every objective below is assignment_objective's canonical sum, written out inline.
     rows = np.arange(cost.shape[0])
-    best = float(np.sum(cost[rows, indices]))
+    # No partial sum of n entries passes n max|C|. Below the double range, then, no trial sum
+    # can overflow, and each skips require_finite, whose error-state switch costs about a sum.
+    if math.isfinite((rows.size + 1) * float(np.abs(cost).max())):
+        total = lambda entries: float(np.add.reduce(entries))
+    else:
+        total = _canonical_sum
     current = indices.copy()
     for group in _tied_components(cost, indices):
         trial = current.copy()
         cols = trial[group] = np.sort(current[group])
-        if float(np.sum(cost[rows, trial])) == best:
+        if total(cost[rows, trial]) == best:
             current = trial
             continue
         # Positions in cols of each row's column; the greedy only permutes them.
@@ -187,7 +216,7 @@ def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray) -> np.nd
                 moved = held.copy()
                 moved[k:] = free[picked]
                 trial[group] = cols[moved]
-                if float(np.sum(cost[rows, trial])) != best:
+                if total(cost[rows, trial]) != best:
                     break
                 held = moved
         current[group] = cols[held]
@@ -205,8 +234,9 @@ def lap_maximize(left, right=None) -> Assignment:
     With ``right`` omitted, C = left. Given the two n-by-r factors, the dense
     product is formed once, negated, as the only n-by-n allocation. Raises
     ValueError before that allocation if its 8 n^2 bytes exceed physical
-    memory, on non-square or mismatched input or non-finite entries, and when
-    finite factors have a product that overflows float64.
+    memory, on non-square or mismatched input or non-finite entries, when
+    finite factors have a product that overflows float64, and when the
+    objective or the tie test overflows it.
     """
     if right is None:
         arr = _square_cost(left)
@@ -225,42 +255,43 @@ def lap_maximize(left, right=None) -> Assignment:
             f"({need / 2**30:.3g} GiB), more than the {limit} bytes of physical memory"
         )
     if right is None:
-        neg = -arr
-        _require_finite(neg)
+        neg = require_finite(lambda: -arr, _COST_NOT_FINITE)
     else:
         for f in (arr, factor):
-            _require_finite(f, "cost factors contain NaN or infinite entries")
-        # Overflow is reported below as a ValueError, not as a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            neg = (-arr) @ factor.T
-        _require_finite(
-            neg,
+            require_finite(lambda: f, "cost factors contain NaN or infinite entries")
+        neg = require_finite(
+            lambda: (-arr) @ factor.T,
             "cost matrix left @ right.T has NaN or infinite entries: the product of "
             "finite factors overflows float64 (above about 1.8e308); rescale the inputs",
         )
     instrument.record("lap_solve")
     _, col_ind = linear_sum_assignment(neg)
     indices = col_ind.astype(np.int64)
+    rows = np.arange(n)
+    # The gathered entries are those of C, so each sum is assignment_objective's.
+    objective = _canonical_sum(-neg[rows, indices])
     if n <= LEX_TIEBREAK_MAX_N:
-        indices = _lexicographically_canonical(-neg, indices)
-    # The gathered entries are those of C, so the sum is assignment_objective's.
-    return Assignment(Permutation(indices), float(np.sum(-neg[np.arange(n), indices])))
+        indices = _lexicographically_canonical(-neg, indices, objective)
+        objective = _canonical_sum(-neg[rows, indices])
+    return Assignment(Permutation(indices), objective)
 
 
 def lap_brute_force(cost) -> Assignment:
-    """Exhaustive maximum over all n! permutations (n <= 10), lex-first tie-break."""
+    """Exhaustive maximum over all n! permutations (n <= 10), lex-first tie-break.
+
+    Raises ValueError when the objective of any candidate overflows float64.
+    """
     arr = _square_cost(cost)
-    _require_finite(arr)
+    require_finite(lambda: arr, _COST_NOT_FINITE)
     n = arr.shape[0]
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N} (factorial blow-up)")
     rows = np.arange(n)
-    best_perm = None
-    best_obj = -np.inf
-    for candidate in itertools.permutations(range(n)):
-        obj = float(np.sum(arr[rows, candidate]))
-        if obj > best_obj:
-            best_obj = obj
-            best_perm = candidate
-    indices = np.array(best_perm, dtype=np.int64)
+    candidates = (np.add.reduce(arr[rows, c]) for c in itertools.permutations(range(n)))
+    objectives = require_finite(
+        lambda: np.fromiter(candidates, np.float64, math.factorial(n)), _OBJECTIVE_OVERFLOWS
+    )
+    # permutations() runs in lexicographic order and argmax returns the first maximum.
+    best = next(itertools.islice(itertools.permutations(range(n)), int(objectives.argmax()), None))
+    indices = np.array(best, dtype=np.int64)
     return Assignment(Permutation(indices), assignment_objective(arr, indices))

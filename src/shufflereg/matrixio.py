@@ -41,8 +41,10 @@ def format_matrix(mat) -> str:
 
 
 def write_matrix(mat, path: str | os.PathLike) -> None:
+    """Write ``mat`` to ``path``; a matrix it refuses leaves any existing file untouched."""
+    text = format_matrix(mat)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_matrix(mat))
+        fh.write(text)
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import blas
-from .model import Permutation, require_matrix
+from .model import Permutation, require_finite, require_matrix
 
 
 class NoiselessMarker(float):
@@ -73,6 +73,19 @@ def _ldexp_finite(value: float, exponent: int, what: str) -> float:
         return math.ldexp(value, exponent)
     except OverflowError:
         raise ValueError(f"{what} overflows double precision (above about 1.8e308)") from None
+
+
+def frobenius_norm(arr: np.ndarray, what: str) -> float:
+    """||arr||_F over ``_power_of_two_scale``, so no square overflows.
+
+    The rescale is exact, so the value is the plain norm's to the bit
+    wherever that norm and its squares are normal doubles. ValueError naming
+    ``what`` when the norm itself overflows.
+    """
+    scale = _power_of_two_scale(arr)
+    return require_finite(
+        lambda: scale * float(np.linalg.norm(arr / scale)), f"{what} overflows float64"
+    )
 
 
 def operator_norm(b) -> float:
@@ -153,13 +166,11 @@ def logdet_ratio(b, sigma: float, n: int) -> float:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     arr = require_matrix(b, "b")
-    with np.errstate(all="ignore"):
-        ratios = _gram_eigenvalues(arr) / (sigma * sigma)
-    if not np.all(np.isfinite(ratios)):
-        raise ValueError(
-            f"B^T B / sigma^2 overflows double precision at sigma={sigma:g}; "
-            "the log-det ratio depends only on B / sigma, so rescale both"
-        )
+    ratios = require_finite(
+        lambda: _gram_eigenvalues(arr) / (sigma * sigma),
+        f"B^T B / sigma^2 overflows double precision at sigma={sigma:g}; "
+        "the log-det ratio depends only on B / sigma, so rescale both",
+    )
     return float(np.sum(np.log1p(ratios)) / math.log(n))
 
 
@@ -224,14 +235,24 @@ def classify_regime(
 
 @blas.single_threaded()
 def relative_signal_error(b_hat, b_true) -> float:
-    """||B_hat - B_true||_F / ||B_true||_F, each norm over a power of two so no square overflows."""
+    """||B_hat - B_true||_F / ||B_true||_F, each norm over a power of two so no square overflows.
+
+    B_hat - B_true overflows only where an entry reaches 2**1023; both are
+    halved first then, which is exact for entries that large, so the
+    difference is taken over a power of two as well. ValueError when the
+    ratio itself overflows.
+    """
     hat = require_matrix(b_hat, "b_hat")
     true = require_matrix(b_true, "b_true")
     if hat.shape != true.shape:
         raise ValueError(f"shape mismatch: {hat.shape} vs {true.shape}")
-    diff = hat - true
+    half = 2.0 if max(np.abs(hat).max(), np.abs(true).max()) >= 2.0**1023 else 1.0
+    diff = hat / half - true / half
     diff_scale, true_scale = _power_of_two_scale(diff), _power_of_two_scale(true)
     denom = float(np.linalg.norm(true / true_scale))
     if denom == 0.0:
         raise ValueError("b_true must be nonzero")
-    return float(np.linalg.norm(diff / diff_scale)) / denom * (diff_scale / true_scale)
+    return require_finite(
+        lambda: float(np.linalg.norm(diff / diff_scale)) / denom * (diff_scale / true_scale * half),
+        "relative signal error ||B_hat - B_true||_F / ||B_true||_F overflows float64",
+    )

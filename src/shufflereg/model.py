@@ -12,8 +12,10 @@ to a matrix ``M`` produces a matrix whose row ``i`` equals row ``pi(i)`` of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -61,6 +63,27 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr)
+
+
+def require_finite(compute: Callable, message: str):
+    """``compute()``, a float or a float array; ValueError(message) unless it is finite.
+
+    The overflow rule of every numpy computation in the library: its value
+    is finite or this ValueError, never numpy's RuntimeWarning or a silent
+    inf. numpy's overflow, invalid and divide-by-zero warnings are off inside
+    ``compute``, since a value they would flag is non-finite and raises here;
+    underflow keeps the caller's setting.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value = compute()
+    if isinstance(value, float):
+        finite = math.isfinite(value)
+    else:
+        # NaN propagates through min and max, so two scalars replace an n x n mask.
+        finite = np.isfinite(value.min()) and np.isfinite(value.max())
+    if not finite:
+        raise ValueError(message)
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,13 +245,14 @@ def synthesize_instance(
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     x = sample_design_matrix(n, p, dist, seed)
     perm = sample_permutation_with_hamming_weight(n, h, seed)
-    # Overflow is reported below as a ValueError, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def observe() -> np.ndarray:
         y = (x @ b)[perm.indices]
         if sigma > 0:
             y = y + sigma * generator(seed, "noise").standard_normal((n, m))
-    if not np.isfinite(y).all():
-        raise ValueError("observation Y = P X B + W overflows float64")
+        return y
+
+    y = require_finite(observe, "observation Y = P X B + W overflows float64")
     return ProblemInstance(
         x=x,
         b_true=b,

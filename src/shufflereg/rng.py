@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,6 +60,22 @@ def derive_seed(master: int, *parts: int | str) -> int:
     return state
 
 
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox a ready key as its seed state.
+
+    ``Philox(key=k)`` first builds a ``SeedSequence(None)``, which reads OS
+    entropy only for the key to replace it. Seeded with this object instead,
+    Philox asks for two 64-bit words and takes them as its key, with the
+    counter at zero: the state, and so the stream, of ``Philox(key=k)``.
+    """
+
+    def __init__(self, key: int):
+        self.words = np.array([key, 0], dtype=np.uint64)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 def generator(master: int, *parts: int | str) -> np.random.Generator:
     """Counter-based generator keyed by ``derive_seed(master, *parts)``."""
-    return np.random.Generator(np.random.Philox(key=derive_seed(master, *parts)))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(derive_seed(master, *parts))))

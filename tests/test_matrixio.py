@@ -50,6 +50,15 @@ def test_round_trip_preserves_every_bit(tmp_path_factory, mat):
     assert np.array_equal(back.view(np.uint64), mat.view(np.uint64))
 
 
+def test_refused_write_leaves_an_existing_file_unchanged(tmp_path):
+    path = tmp_path / "m.txt"
+    write_matrix(np.eye(2), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+        write_matrix(np.array([[np.inf]]), path)
+    assert path.read_bytes() == before
+
+
 def test_header_and_layout(tmp_path):
     path = tmp_path / "m.txt"
     write_matrix([[1.5, -2.0], [0.0, 3.25]], path)

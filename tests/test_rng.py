@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from shufflereg.rng import derive_seed, generator
 
@@ -32,3 +33,16 @@ def test_generator_streams_are_reproducible_and_independent():
     c = generator(99, "noise").standard_normal(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("master,parts", [(0, ()), (42, ("design",)), (-1, ("noise",)), (7, (3, 17, "perm"))])
+def test_generator_stream_is_philox_keyed_by_derive_seed(master, parts):
+    expected = np.random.Philox(key=derive_seed(master, *parts))
+    found = generator(master, *parts).bit_generator
+    for key in ("key", "counter"):
+        assert np.array_equal(found.state["state"][key], expected.state["state"][key])
+    assert np.array_equal(found.random_raw(257), expected.random_raw(257))
+    a = generator(master, *parts)
+    b = np.random.Generator(np.random.Philox(key=derive_seed(master, *parts)))
+    assert np.array_equal(a.standard_normal(100), b.standard_normal(100))
+    assert np.array_equal(a.integers(0, 1000, 50), b.integers(0, 1000, 50))
