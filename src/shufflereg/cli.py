@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -29,6 +30,7 @@ from .experiments import (
     reproduce_failure_demo,
     run_sweep,
     write_csv,
+    write_trace_csv,
 )
 from .matrixio import read_matrix, write_matrix, write_permutation
 from .metrics import (
@@ -54,7 +56,11 @@ def cmd_solve(args) -> int:
     y = read_matrix(args.y)
     result = one_step_estimate(x, y)
     write_permutation(result.perm_hat, args.out_perm)
-    write_matrix(result.b_hat, args.out_b)
+    try:
+        write_matrix(result.b_hat, args.out_b)
+    except OSError:  # a failed solve leaves neither output file
+        os.remove(args.out_perm)
+        raise
     print(
         f"solved: n={x.shape[0]} p={x.shape[1]} m={y.shape[1]} "
         f"objective={result.objective:.12g}",
@@ -81,10 +87,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_demo_failure(args) -> int:
     trace = reproduce_failure_demo(args.n, args.iters, args.seed)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write("iteration,hamming,residual\n")
-        for record in trace:
-            fh.write(f"{record.iteration},{record.hamming},{record.residual:.12g}\n")
+    write_trace_csv(trace, args.out)
     print(
         f"demo-failure: n={args.n} iterations={len(trace) - 1} "
         f"first_hamming={trace[0].hamming} last_hamming={trace[-1].hamming}",

@@ -224,11 +224,10 @@ def reduce_known_direction(x, e) -> np.ndarray:
     then reads as the single-column model on that projection.
     """
     xa = require_matrix(x, "x")
-    vec = np.asarray(e, dtype=np.float64).reshape(-1)
+    vec = np.asarray(e, dtype=np.float64).reshape(1, -1)
     if vec.size != xa.shape[1]:
         raise ValueError(f"direction has length {vec.size} but x has {xa.shape[1]} columns")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("direction contains non-finite entries")
+    vec = require_matrix(vec, "direction")[0]  # non-empty 1 x p, so only a non-finite entry fails
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"direction must be a unit vector, got norm {norm!r}")

@@ -17,8 +17,8 @@ fields, each parsed by its annotated type.
 
 The noiseless grid point is SNR = +inf (sigma = 0): every +inf in ``snr_grid``
 becomes ``metrics.NOISELESS``, so ``inf`` in a config is an alias of
-``noiseless``. Floats carry 12 significant digits; the noiseless point writes
-the literal ``inf`` for snr and logdet_ratio.
+``noiseless``. Floats carry 12 significant digits (also in demo traces); the
+noiseless point writes the literal ``inf`` for snr and logdet_ratio.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .metrics import (
     relative_signal_error,
     sigma_for_snr,
 )
-from .model import DistributionKind, build_canonical_signal, synthesize_instance
+from .model import DistributionKind, build_canonical_signal, require_finite, synthesize_instance
 from .rng import derive_seed
 
 _ESTIMATOR_RE = re.compile(r"^(one_step|oracle_perm|alt_min)(?:\((\d+)\))?$")
@@ -297,10 +297,7 @@ def _format_value(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.12g}"
+    return f"{float(value):.12g}"
 
 
 def format_csv(result: SweepResult) -> str:
@@ -313,6 +310,12 @@ def format_csv(result: SweepResult) -> str:
 def write_csv(result: SweepResult, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(format_csv(result))
+
+
+def write_trace_csv(trace, path) -> None:
+    rows = "".join(f"{r.iteration},{r.hamming},{_format_value(r.residual)}\n" for r in trace)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("iteration,hamming,residual\n" + rows)
 
 
 def parse_csv(path) -> SweepResult:
@@ -356,8 +359,9 @@ def _parse_snr_grid(value: str) -> tuple:
             start, stop, count = float(args[0]), float(args[1]), int(args[2])
             if count < 1:
                 raise ConfigError(f"logspace count must be >= 1, got {count}")
-            with np.errstate(over="raise"):  # 10**stop past the double range is an error, not inf
-                grid.extend(float(v) for v in np.logspace(start, stop, count))
+            message = (f"snr grid token {token!r} gives non-finite values: 10**start and "
+                       "10**stop must be finite doubles (below about 1.8e308)")
+            grid += require_finite(lambda: np.logspace(start, stop, count), message).tolist()
         else:
             try:
                 grid.append(float(token))
@@ -392,7 +396,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             values[key] = _VALUE_PARSERS.get(kind, kind)(value)
         except ConfigError:
             raise
-        except (ValueError, FloatingPointError) as exc:
+        except ValueError as exc:
             reason = f"key {key!r} needs {_NUMBER_NOUNS[kind]}" if kind in _NUMBER_NOUNS else exc
             raise ConfigError(f"line {line_no}: {reason}") from None
     missing = [key for key in _REQUIRED_KEYS if key not in values]

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import blas, instrument
-from .model import Permutation, require_finite
+from .model import Permutation, require_finite, require_matrix
 
 # Above this size the lexicographic tie pass (tie test, then re-solves of tied rows) is skipped.
 LEX_TIEBREAK_MAX_N = 64
@@ -109,7 +109,7 @@ def _reduced_costs(cost: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return w + d[:, None] - d[None, :]
 
 
-def _tied_components(cost: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
+def _tied_components(cost: np.ndarray, indices: np.ndarray, scale: float) -> list[np.ndarray]:
     """Row groups, ascending, that may trade columns with one another in some optimum.
 
     Exchange graph of the optimum pi: the edge i -> j weighs
@@ -145,7 +145,8 @@ def _tied_components(cost: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
     (8n + 4) u M. The sum, (6 n^2 + 10 n + 4) u M, stays below
     tol = 4 (n + 2)^2 eps M = (8 n^2 + 32 n + 32) u M for every n >= 1, with
     room for the higher-order terms. If d still changes after n rounds, pi is
-    not optimal in exact arithmetic and every row is flagged.
+    not optimal in exact arithmetic and every row is flagged. The caller
+    passes M as ``scale``.
     """
     n = cost.shape[0]
     reduced = require_finite(
@@ -153,7 +154,7 @@ def _tied_components(cost: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
         "assignment tie test overflows float64: a reduced cost "
         "C[i, pi(i)] - C[i, pi(j)] + d_i - d_j passes about 1.8e308; rescale the inputs",
     )
-    tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())
+    tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * scale
     tight = reduced <= tol
     linked = np.flatnonzero((tight.sum(axis=0) > 1) & (tight.sum(axis=1) > 1))
     if not linked.size:
@@ -189,14 +190,15 @@ def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray, best: fl
     precision.
     """
     rows = np.arange(cost.shape[0])
+    scale = float(np.abs(cost).max())
     # No partial sum of n entries passes n max|C|. Below the double range, then, no trial sum
     # can overflow, and each skips require_finite, whose error-state switch costs about a sum.
-    if math.isfinite((rows.size + 1) * float(np.abs(cost).max())):
+    if math.isfinite((rows.size + 1) * scale):
         total = lambda entries: float(np.add.reduce(entries))
     else:
         total = _canonical_sum
     current = indices.copy()
-    for group in _tied_components(cost, indices):
+    for group in _tied_components(cost, indices, scale):
         trial = current.copy()
         cols = trial[group] = np.sort(current[group])
         if total(cost[rows, trial]) == best:
@@ -241,12 +243,10 @@ def lap_maximize(left, right=None) -> Assignment:
     if right is None:
         arr = _square_cost(left)
     else:
-        arr, factor = np.asarray(left, dtype=np.float64), np.asarray(right, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape != factor.shape or arr.shape[0] == 0:
-            raise ValueError(
-                "cost factors must be non-empty n-by-r matrices of one shape, "
-                f"got {arr.shape} and {factor.shape}"
-            )
+        arr = require_matrix(left, "cost factor left")
+        factor = require_matrix(right, "cost factor right")
+        if arr.shape != factor.shape:
+            raise ValueError(f"cost factors must have one shape, got {arr.shape} and {factor.shape}")
     n = arr.shape[0]
     need, limit = 8 * n * n, _physical_memory_bytes()
     if need > limit:
@@ -257,8 +257,6 @@ def lap_maximize(left, right=None) -> Assignment:
     if right is None:
         neg = require_finite(lambda: -arr, _COST_NOT_FINITE)
     else:
-        for f in (arr, factor):
-            require_finite(lambda: f, "cost factors contain NaN or infinite entries")
         neg = require_finite(
             lambda: (-arr) @ factor.T,
             "cost matrix left @ right.T has NaN or infinite entries: the product of "
@@ -267,12 +265,10 @@ def lap_maximize(left, right=None) -> Assignment:
     instrument.record("lap_solve")
     _, col_ind = linear_sum_assignment(neg)
     indices = col_ind.astype(np.int64)
-    rows = np.arange(n)
     # The gathered entries are those of C, so each sum is assignment_objective's.
-    objective = _canonical_sum(-neg[rows, indices])
+    objective = _canonical_sum(-neg[np.arange(n), indices])
     if n <= LEX_TIEBREAK_MAX_N:
         indices = _lexicographically_canonical(-neg, indices, objective)
-        objective = _canonical_sum(-neg[rows, indices])
     return Assignment(Permutation(indices), objective)
 
 

@@ -40,6 +40,10 @@ def format_matrix(mat) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_permutation(perm: Permutation) -> str:
+    return "".join(f"{idx}\n" for idx in perm.indices.tolist())
+
+
 def write_matrix(mat, path: str | os.PathLike) -> None:
     """Write ``mat`` to ``path``; a matrix it refuses leaves any existing file untouched."""
     text = format_matrix(mat)
@@ -60,9 +64,7 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
                 raise ValueError(f"{path}: unexpected trailing content after {rows} rows")
     except UnicodeDecodeError as exc:
         raise _non_ascii_error(path, exc, "matrix") from None
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: matrix contains non-finite entries")
-    return data
+    return require_matrix(data, f"{path}: matrix")  # only a non-finite entry can fail here
 
 
 def _non_ascii_error(path, exc: UnicodeDecodeError, kind: str) -> ValueError:
@@ -118,9 +120,9 @@ def _raise_row_error(fh, path, rows: int, cols: int) -> NoReturn:
 
 
 def write_permutation(perm: Permutation, path: str | os.PathLike) -> None:
+    text = format_permutation(perm)
     with open(path, "w", encoding="ascii") as fh:
-        for idx in perm.indices:
-            fh.write(f"{int(idx)}\n")
+        fh.write(text)
 
 
 def read_permutation(path: str | os.PathLike) -> Permutation:

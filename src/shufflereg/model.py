@@ -60,9 +60,14 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr)
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    # NaN propagates through min and max, so two scalars replace an n x n mask.
+    return np.isfinite(arr.min()) and np.isfinite(arr.max())
 
 
 def require_finite(compute: Callable, message: str):
@@ -73,15 +78,13 @@ def require_finite(compute: Callable, message: str):
     inf. numpy's overflow, invalid and divide-by-zero warnings are off inside
     ``compute``, since a value they would flag is non-finite and raises here;
     underflow keeps the caller's setting.
+
+    This is the library's only finiteness test and error-state switch;
+    ``require_matrix`` shares its array test, ``_all_finite``, without the switch.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value = compute()
-    if isinstance(value, float):
-        finite = math.isfinite(value)
-    else:
-        # NaN propagates through min and max, so two scalars replace an n x n mask.
-        finite = np.isfinite(value.min()) and np.isfinite(value.max())
-    if not finite:
+    if not (math.isfinite(value) if isinstance(value, float) else _all_finite(value)):
         raise ValueError(message)
     return value
 

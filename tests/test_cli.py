@@ -172,6 +172,16 @@ class TestSolve:
         )
         assert not out_perm.exists() and not out_b.exists()
 
+    def test_unwritable_signal_file_leaves_no_permutation_file(self, tmp_path):
+        _, x_path, y_path = write_instance(tmp_path)
+        out_perm, out_b = tmp_path / "p.txt", tmp_path / "b.d"
+        out_b.mkdir()
+        out = run_cli("solve", "--x", x_path, "--y", y_path, "--out-perm", out_perm, "--out-b", out_b)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == f"error: cannot open {out_b}: Is a directory\n"
+        assert not out_perm.exists()
+
     def test_non_ascii_input_names_path(self, tmp_path):
         _, x_path, y_path = write_instance(tmp_path)
         y_path.write_bytes(b"60 6\n\xd9" + y_path.read_bytes().split(b"\n", 1)[1])

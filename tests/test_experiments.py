@@ -513,12 +513,19 @@ class TestConfigParsing:
             parse_config_text(f"n=10\np=2\nm=2\nh=2\n{line}\n")
         assert str(info.value).startswith(message)
 
-    @pytest.mark.parametrize("token", ["logspace(0, 400, 2)", "logspace(1e308, 1, 3)"])
+    @pytest.mark.parametrize(
+        "token",
+        ["logspace(0, 400, 2)", "logspace(1e308, 1, 3)", "logspace(0, inf, 2)", "logspace(nan, 1, 2)"],
+    )
     def test_overflowing_logspace_is_a_config_error(self, token):
         # 10**400 is +inf; it must not print numpy's overflow warning or pass as the noiseless point.
+        # An inf endpoint made numpy warn "invalid value" and a nan endpoint gave a nan grid point.
         with pytest.raises(ConfigError) as info:
             parse_config_text(f"n=10\np=2\nm=2\nh=2\nsnr_grid = {token}\n")
-        assert str(info.value) == "line 5: overflow encountered in power"
+        assert str(info.value) == (
+            f"line 5: snr grid token {token!r} gives non-finite values: 10**start and 10**stop "
+            "must be finite doubles (below about 1.8e308)"
+        )
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="unknown config key: snr_gird"):

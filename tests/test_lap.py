@@ -25,6 +25,17 @@ from shufflereg.model import (
 )
 
 
+def tied_components(cost, start):
+    return _tied_components(cost, start, float(np.abs(cost).max()))
+
+
+def ones_with(index, value):
+    """A 3 x 2 matrix of ones with ``value`` at ``index``."""
+    arr = np.ones((3, 2))
+    arr[index] = value
+    return arr
+
+
 def objective_of(cost, perm):
     cost = np.asarray(cost, dtype=float)
     return float(np.sum(cost[np.arange(cost.shape[0]), perm.indices]))
@@ -195,7 +206,7 @@ class TestTiePassAgainstReference:
             left, right = rademacher_one_step_factors(64, 8, None, seed)
             cost = left @ right.T
             _, start = linear_sum_assignment(-cost)
-            largest = max([largest] + [g.size for g in _tied_components(cost, start)])
+            largest = max([largest] + [g.size for g in tied_components(cost, start)])
             expected = per_candidate_canonical(cost)
             assert np.array_equal(lap_maximize(left, right).perm.indices, expected), seed
         assert largest >= 20
@@ -210,7 +221,7 @@ class TestTiePassAgainstReference:
         left = rng.standard_normal((n, 3))
         cost = left @ right.T
         _, start = linear_sum_assignment(-cost)
-        assert _tied_components(cost, start)
+        assert tied_components(cost, start)
         result = lap_maximize(left, right)
         # Each tied group is settled by its sorted columns, with no re-solve.
         assert calls == [(n, n)]
@@ -222,7 +233,7 @@ class TestTiePassAgainstReference:
             left, right = rademacher_one_step_factors(64, 8, snr, seed)
             cost = left @ right.T
             _, start = linear_sum_assignment(-cost)
-            found = [g.tolist() for g in _tied_components(cost, start)]
+            found = [g.tolist() for g in tied_components(cost, start)]
             assert found == strong_component_groups(cost, start), seed
 
     @settings(max_examples=200, deadline=None)
@@ -235,7 +246,7 @@ class TestTiePassAgainstReference:
     )
     def test_tied_components_match_scipy_on_small_integer_costs(self, cost):
         _, start = linear_sum_assignment(-cost)
-        found = [g.tolist() for g in _tied_components(cost, start)]
+        found = [g.tolist() for g in tied_components(cost, start)]
         assert found == strong_component_groups(cost, start)
 
     @settings(max_examples=200, deadline=None)
@@ -269,7 +280,7 @@ class TestTiePassAgainstReference:
             left, right = build_onestep_cost(inst.x, inst.y)
             cost = left @ right.T
             _, start = linear_sum_assignment(-cost)
-            groups = _tied_components(cost, start)
+            groups = tied_components(cost, start)
             canonical = per_candidate_canonical(cost)
             in_group = np.zeros(64, dtype=bool)
             for group in groups:
@@ -280,7 +291,7 @@ class TestTiePassAgainstReference:
     def test_non_optimal_start_flags_every_row(self):
         # The swap loses 2, so the exchange graph has a negative cycle and
         # Bellman-Ford never settles.
-        groups = _tied_components(np.eye(3), np.array([1, 0, 2]))
+        groups = tied_components(np.eye(3), np.array([1, 0, 2]))
         assert [g.tolist() for g in groups] == [[0, 1, 2]]
 
 
@@ -320,11 +331,40 @@ class TestFactorForm:
         with pytest.raises(ValueError, match="non-empty"):
             lap_maximize(np.ones((0, 2)), np.ones((0, 2)))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
-    def test_non_finite_product_rejected(self, bad):
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            *[(ones_with((1, 0), bad), np.ones((3, 2))) for bad in (np.nan, np.inf, -np.inf)],
+            *[(np.ones((3, 2)), ones_with((2, 1), bad)) for bad in (np.nan, np.inf, -np.inf)],
+            # inf * 0 is NaN in IEEE arithmetic, but a BLAS kernel may skip the zero column.
+            (ones_with((1, 0), np.inf), ones_with(np.s_[:, 0], 0.0)),
+            (ones_with(np.s_[:, 1], 0.0), ones_with((0, 1), -np.inf)),
+            (np.ones(3), np.ones(3)),
+            (np.ones((3, 2)), np.ones(3)),
+            (np.ones((3, 2)), np.ones((2, 3))),
+        ],
+        ids=["left-nan", "left-inf", "left-neg-inf", "right-nan", "right-inf", "right-neg-inf",
+             "left-inf-at-zero-column", "right-neg-inf-at-zero-column", "both-1d", "right-1d",
+             "shapes-differ"],
+    )
+    def test_bad_factors_rejected(self, monkeypatch, left, right):
+        monkeypatch.setattr(shufflereg.lap, "linear_sum_assignment", None)
+        with pytest.raises(ValueError, match="cost factor"):
+            lap_maximize(left, right)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (np.nan, "cost factor left contains non-finite entries"),
+            (np.inf, "cost factor left contains non-finite entries"),
+            (1e200, "the product of finite factors overflows float64"),
+        ],
+        ids=["nan", "inf", "1e+200"],
+    )
+    def test_non_finite_product_rejected(self, bad, message):
         left = np.ones((3, 2))
         left[1, 0] = bad
-        with pytest.raises(ValueError, match="NaN or infinite"):
+        with pytest.raises(ValueError, match=message):
             lap_maximize(left, np.full((3, 2), 1e200))
 
 
