@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
@@ -234,9 +235,11 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     The noise level of every grid point is computed first, so one out of
     double range fails the sweep before any trial runs. The pairs then run in
     grid-major order, with OpenBLAS single-threaded for the whole sweep
-    (``shufflereg.blas``): on the calling thread when ``config.workers`` is 1,
-    otherwise on a pool of ``config.workers`` threads. Either way each trial,
-    and each row's aggregation, starts from an empty ``contextvars`` context,
+    (``shufflereg.blas``), on ``min(config.workers, os.cpu_count())`` threads:
+    on the calling thread when that is 1, otherwise on a pool. A pool starts a
+    thread on every submit while none is idle, so without the cap it would
+    start up to one thread per trial. Either way each trial, and each row's
+    aggregation, starts from an empty ``contextvars`` context,
     so it sees numpy's default floating-point error state whatever the caller
     set. The caller's BLAS thread counts are restored on return, also when a
     trial raises.
@@ -247,13 +250,14 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         return contextvars.Context().run(run_trial, config, *pair)
 
     pairs = [(g, t) for g in range(len(sigmas)) for t in range(config.trials)]
+    workers = min(config.workers, os.cpu_count() or 1)
     with blas.single_threaded():
         # One worker needs no pool: its thread start and a queue hop per trial are a
         # visible share of a trial at small n.
-        if config.workers == 1:
+        if workers == 1:
             results = [trial(pair) for pair in pairs]
         else:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(trial, pairs))
     t = config.trials
     return SweepResult(
@@ -316,32 +320,6 @@ def write_trace_csv(trace, path) -> None:
     rows = "".join(f"{r.iteration},{r.hamming},{_format_value(r.residual)}\n" for r in trace)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("iteration,hamming,residual\n" + rows)
-
-
-def parse_csv(path) -> SweepResult:
-    """Read a sweep CSV back into rows (inverse of write_csv at writer precision).
-
-    Each column is converted by its ``SweepRow`` field type; an snr of ``inf``
-    reads as ``NOISELESS``.
-    """
-    types = get_type_hints(SweepRow)
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != ",".join(CSV_COLUMNS):
-            raise ValueError(f"{path}: unexpected CSV header {header!r}")
-        rows = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(CSV_COLUMNS):
-                raise ValueError(f"{path}:{line_no}: expected {len(CSV_COLUMNS)} fields")
-            rec = {col: types[col](part) for col, part in zip(CSV_COLUMNS, parts)}
-            if rec["snr"] == math.inf:
-                rec["snr"] = NOISELESS
-            rows.append(SweepRow(**rec))
-    return SweepResult(rows=tuple(rows))
 
 
 _GRID_TOKEN_RE = re.compile(r"logspace\([^)]*\)|[^,\s]+")

@@ -10,7 +10,6 @@ as ``math.inf`` and differs only in its repr, ``noiseless``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -196,39 +195,26 @@ class RegimeLabel(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Boundaries of the difficulty regimes (natural log, left-closed above).
+def classify_regime(srank: float, n: int) -> RegimeLabel:
+    """Difficulty regime of a signal with stable rank ``srank`` at n rows.
+
+    With c0 = 2, c1 = 1, c2 = 1 and the natural log, each band left-closed:
 
     Easy:    srank >= c2 * (log n)^4
     Medium:  c1 * log n <= srank < c2 * (log n)^4
     Hard:    c0 <= srank < c1 * log n
     Unknown: srank < c0
     """
-
-    c0: float = 2.0
-    c1: float = 1.0
-    c2: float = 1.0
-
-
-DEFAULT_REGIME_THRESHOLDS = RegimeThresholds()
-
-
-def classify_regime(
-    srank: float,
-    n: int,
-    thresholds: RegimeThresholds = DEFAULT_REGIME_THRESHOLDS,
-) -> RegimeLabel:
     if srank < 1:
         raise ValueError(f"stable rank is always >= 1, got {srank}")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     log_n = math.log(n)
-    if srank >= thresholds.c2 * log_n**4:
+    if srank >= log_n**4:
         return RegimeLabel.EASY
-    if srank >= thresholds.c1 * log_n:
+    if srank >= log_n:
         return RegimeLabel.MEDIUM
-    if srank >= thresholds.c0:
+    if srank >= 2.0:
         return RegimeLabel.HARD
     return RegimeLabel.UNKNOWN
 

@@ -30,17 +30,6 @@ class DistributionKind(Enum):
     UNIFORM = "uniform"
     RADEMACHER = "rademacher"
 
-    @property
-    def is_log_concave(self) -> bool:
-        return self in (DistributionKind.GAUSSIAN, DistributionKind.UNIFORM)
-
-    @property
-    def variance(self) -> float:
-        # Uniform[-1, 1] is used as drawn, so its variance is 1/3, not 1.
-        if self is DistributionKind.UNIFORM:
-            return 1.0 / 3.0
-        return 1.0
-
     @classmethod
     def from_name(cls, name: str) -> "DistributionKind":
         try:
@@ -66,8 +55,11 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    # NaN propagates through min and max, so two scalars replace an n x n mask.
-    return np.isfinite(arr.min()) and np.isfinite(arr.max())
+    # NaN propagates through min and max, so two scalars replace an n x n mask; the
+    # ufunc reductions and math.isfinite skip the method and numpy-scalar overheads.
+    return math.isfinite(np.minimum.reduce(arr, axis=None)) and math.isfinite(
+        np.maximum.reduce(arr, axis=None)
+    )
 
 
 def require_finite(compute: Callable, message: str):
@@ -129,16 +121,10 @@ class Permutation:
     def __hash__(self) -> int:
         return hash(self.indices.tobytes())
 
-    def apply(self, mat) -> np.ndarray:
-        return apply_permutation(self, mat)
-
     def inverse(self) -> "Permutation":
         inv = np.empty(len(self), dtype=np.int64)
         inv[self.indices] = np.arange(len(self), dtype=np.int64)
         return Permutation(inv)
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.indices, np.arange(len(self))))
 
     def __repr__(self) -> str:
         return f"Permutation({self.indices.tolist()!r})"

@@ -18,6 +18,7 @@ from shufflereg.cli import main
 from shufflereg.matrixio import read_matrix, read_permutation, write_matrix
 from shufflereg.model import (
     DistributionKind,
+    Permutation,
     build_canonical_signal,
     synthesize_instance,
 )
@@ -81,7 +82,7 @@ class TestSolve:
         )
         assert code == 0
         perm = read_permutation(out_perm)
-        assert perm.is_identity()
+        assert perm == Permutation.identity(len(perm))
         b_hat = read_matrix(out_b)
         assert np.allclose(b_hat, inst.b_true, atol=1e-8)
 

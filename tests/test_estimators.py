@@ -87,7 +87,7 @@ class TestOneStepEstimate:
         inst = synthesize_instance(
             7, 3, 3, 0, GAUSSIAN, build_canonical_signal(3, 3, 1.0), 0.0, seed=4
         )
-        assert inst.perm_true.is_identity()
+        assert inst.perm_true == Permutation.identity(7)
         left, right = build_onestep_cost(inst.x, inst.y)
         assert lap_brute_force(left @ right.T).perm == Permutation.identity(7)
         result = one_step_estimate(inst.x, inst.y)

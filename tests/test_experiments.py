@@ -1,4 +1,6 @@
+import csv
 import math
+import os
 import threading
 from collections import Counter
 from dataclasses import fields, replace
@@ -14,6 +16,7 @@ import shufflereg.experiments as experiments
 import shufflereg.lap
 from shufflereg import instrument
 from shufflereg.experiments import (
+    CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
     SweepResult,
@@ -21,7 +24,6 @@ from shufflereg.experiments import (
     TrialResult,
     format_csv,
     parse_config_text,
-    parse_csv,
     parse_estimator,
     reproduce_failure_demo,
     run_sweep,
@@ -289,11 +291,43 @@ class TestRunSweep:
 
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(experiments, "run_trial", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = small_config(trials=3)
         run_sweep(cfg)
         assert threads == [threading.get_ident()] * (cfg.trials * len(cfg.snr_grid))
         with pytest.raises(AssertionError, match="built a thread pool"):
             run_sweep(replace(cfg, workers=2))
+
+    def test_threads_are_capped_at_the_cpu_count(self, monkeypatch):
+        # A pool starts a thread on every submit while none is idle, so an uncapped
+        # workers=10**6 would ask for one thread per trial. The recording pool starts none.
+        built = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+        cfg = small_config(trials=2)
+        serial = format_csv(run_sweep(cfg))
+        threads = threading.active_count()
+        assert format_csv(run_sweep(replace(cfg, workers=10**6))) == serial
+        assert threading.active_count() == threads
+        assert all(w <= (os.cpu_count() or 1) for w in built)
+        for cpus, pools in ((3, [3]), (1, []), (None, [])):
+            built.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert format_csv(run_sweep(replace(cfg, workers=10**6))) == serial
+            assert built == pools
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_noise_level_is_computed_once_per_grid_point(self, monkeypatch, workers):
@@ -367,6 +401,17 @@ class TestFailureDemo:
             reproduce_failure_demo(150, -1, seed=0)
 
 
+def read_sweep_csv(path) -> SweepResult:
+    """The rows of a sweep CSV, each column converted by its ``SweepRow`` field type."""
+    types = get_type_hints(SweepRow)
+    with open(path, newline="", encoding="ascii") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == CSV_COLUMNS
+        return SweepResult(
+            rows=tuple(SweepRow(**{col: types[col](v) for col, v in rec.items()}) for rec in reader)
+        )
+
+
 class TestCsv:
     def test_header_only_for_empty_sweep(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -405,7 +450,7 @@ class TestCsv:
         result = run_sweep(cfg)
         path = tmp_path / "sweep.csv"
         write_csv(result, path)
-        parsed = parse_csv(path)
+        parsed = read_sweep_csv(path)
         # Writing the parsed result again must be byte-identical, and every
         # numeric field must equal the original at 12 significant digits.
         path2 = tmp_path / "sweep2.csv"
@@ -419,7 +464,7 @@ class TestCsv:
                     assert math.isnan(reparsed)
                 else:
                     assert reparsed == float(f"{original:.12g}")
-        assert parsed.rows[-1].snr is NOISELESS
+        assert parsed.rows[-1].snr == math.inf
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -437,15 +482,7 @@ class TestCsv:
         rows = tuple(data.draw(st.lists(row, max_size=4)))
         path = tmp_path_factory.mktemp("csv") / "sweep.csv"
         write_csv(SweepResult(rows=rows), path)
-        parsed = parse_csv(path)
-        assert format_csv(parsed) == path.read_text()
-        assert all((row.snr is NOISELESS) == (row.snr == math.inf) for row in parsed.rows)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(ValueError, match="header"):
-            parse_csv(path)
+        assert format_csv(read_sweep_csv(path)) == path.read_text()
 
 
 class TestConfigParsing:

@@ -13,7 +13,6 @@ from shufflereg.metrics import (
     NOISELESS,
     NoiselessMarker,
     RegimeLabel,
-    RegimeThresholds,
     classify_regime,
     hamming_distance,
     logdet_ratio,
@@ -267,16 +266,16 @@ class TestRegimeClassification:
         assert classify_regime(boundary - 1e-9, n) is RegimeLabel.MEDIUM
 
     def test_hard_band(self):
-        # log(1e6) ~ 13.8, so srank 5 sits in [c0, log n).
+        # log(1e6) ~ 13.8, so srank 5 sits in [c0, log n), and c0 = 2 is its closed end.
         assert classify_regime(5.0, 10**6) is RegimeLabel.HARD
+        assert classify_regime(2.0, 10**6) is RegimeLabel.HARD
+        assert classify_regime(math.nextafter(2.0, 0.0), 10**6) is RegimeLabel.UNKNOWN
 
     def test_medium_band(self):
         n = 10**6
         assert classify_regime(20.0, n) is RegimeLabel.MEDIUM
-
-    def test_custom_thresholds(self):
-        relaxed = RegimeThresholds(c0=1.2)
-        assert classify_regime(1.5, 10**6, relaxed) is RegimeLabel.HARD
+        assert classify_regime(math.log(n), n) is RegimeLabel.MEDIUM
+        assert classify_regime(math.nextafter(math.log(n), 0.0), n) is RegimeLabel.HARD
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
