@@ -76,7 +76,7 @@ def cmd_simulate(args) -> int:
     result = run_sweep(config)
     write_csv(result, args.out)
     for row in result.rows:
-        note = f" failures={row.failures}" if row.failures else ""
+        note = f" failures={row.failures} first_error={row.first_error}" if row.failures else ""
         print(
             f"snr={row.snr!r} sigma={row.sigma:.6g} recovery_rate={row.recovery_rate:.4g} "
             f"mean_hamming={row.mean_hamming:.6g} trials={row.trials}{note}",

@@ -12,8 +12,8 @@ estimator returns an ``EstimationResult``, so a trial reads the permutation
 and signal estimate the same way whichever estimator ran.
 
 The dataclasses are the schema: the CSV columns are ``SweepRow``'s fields in
-order, without ``failures``, and the config keys are ``ExperimentConfig``'s
-fields, each parsed by its annotated type.
+order, without ``failures`` and ``first_error``, and the config keys are
+``ExperimentConfig``'s fields, each parsed by its annotated type.
 
 The noiseless grid point is SNR = +inf (sigma = 0): every +inf in ``snr_grid``
 becomes ``metrics.NOISELESS``, so ``inf`` in a config is an alias of
@@ -161,9 +161,10 @@ class SweepRow:
     trials: int
     seed: int
     failures: int = 0
+    first_error: str = ""
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "failures")
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name not in ("failures", "first_error"))
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,8 @@ def _aggregate(
     Failed trials (``ok=False``) count in the denominator of
     ``recovery_rate``, which is exact recoveries over ``config.trials``, but
     ``mean_hamming`` and ``mean_rel_b_error`` average only the successful
-    trials (NaN when none succeeded). ``failures`` is not written to the CSV.
+    trials (NaN when none succeeded). ``failures`` and ``first_error``, the
+    message of the first failed trial in trial order, are not written to the CSV.
     """
     snr_point = config.snr_grid[grid_index]
     ld_ratio = logdet_ratio(config._signal, sigma, config.n) if sigma > 0 else math.inf
@@ -226,6 +228,7 @@ def _aggregate(
         trials=config.trials,
         seed=config.master_seed,
         failures=len(results) - len(good),
+        first_error=next((r.error for r in results if not r.ok), ""),
     )
 
 

@@ -81,7 +81,7 @@ def _square_cost(cost) -> np.ndarray:
         raise ValueError(f"cost matrix must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("cost matrix must be non-empty")
-    return arr
+    return require_finite(lambda: arr, _COST_NOT_FINITE)
 
 
 def _reduced_costs(cost: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -255,7 +255,7 @@ def lap_maximize(left, right=None) -> Assignment:
             f"({need / 2**30:.3g} GiB), more than the {limit} bytes of physical memory"
         )
     if right is None:
-        neg = require_finite(lambda: -arr, _COST_NOT_FINITE)
+        neg = -arr
     else:
         neg = require_finite(
             lambda: (-arr) @ factor.T,
@@ -278,7 +278,6 @@ def lap_brute_force(cost) -> Assignment:
     Raises ValueError when the objective of any candidate overflows float64.
     """
     arr = _square_cost(cost)
-    require_finite(lambda: arr, _COST_NOT_FINITE)
     n = arr.shape[0]
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N} (factorial blow-up)")
@@ -287,7 +286,8 @@ def lap_brute_force(cost) -> Assignment:
     objectives = require_finite(
         lambda: np.fromiter(candidates, np.float64, math.factorial(n)), _OBJECTIVE_OVERFLOWS
     )
-    # permutations() runs in lexicographic order and argmax returns the first maximum.
-    best = next(itertools.islice(itertools.permutations(range(n)), int(objectives.argmax()), None))
-    indices = np.array(best, dtype=np.int64)
-    return Assignment(Permutation(indices), assignment_objective(arr, indices))
+    # permutations() runs in lexicographic order and argmax returns the first maximum; its
+    # objective is already assignment_objective's sum: the same entries, the same reduction.
+    k = int(objectives.argmax())
+    best = next(itertools.islice(itertools.permutations(range(n)), k, None))
+    return Assignment(Permutation(np.array(best, dtype=np.int64)), float(objectives[k]))

@@ -35,8 +35,9 @@ from .model import Permutation, require_matrix
 def format_matrix(mat) -> str:
     arr = require_matrix(mat, "matrix")
     lines = [f"{arr.shape[0]} {arr.shape[1]}"]
-    for row in arr:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    # tolist() yields Python floats, whose repr is the shortest round-trip form; one row at a
+    # time, since the whole matrix as floats would take 32 bytes per entry at once.
+    lines += (" ".join(map(repr, row.tolist())) for row in arr)
     return "\n".join(lines) + "\n"
 
 

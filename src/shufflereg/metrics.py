@@ -203,13 +203,16 @@ def classify_regime(srank: float, n: int) -> RegimeLabel:
     Easy:    srank >= c2 * (log n)^4
     Medium:  c1 * log n <= srank < c2 * (log n)^4
     Hard:    c0 <= srank < c1 * log n
-    Unknown: srank < c0
+    Unknown: srank < c0, or log n < c0 (n <= 7), where c1 * log n < c0
+             empties the hard band and the bands fall out of order
     """
     if srank < 1:
         raise ValueError(f"stable rank is always >= 1, got {srank}")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     log_n = math.log(n)
+    if log_n < 2.0:
+        return RegimeLabel.UNKNOWN
     if srank >= log_n**4:
         return RegimeLabel.EASY
     if srank >= log_n:

@@ -198,16 +198,12 @@ def build_canonical_signal(p: int, m: int, scale: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A synthesized (X, B, P, Y) bundle with provenance."""
+    """A synthesized (X, B, P, Y) bundle."""
 
     x: np.ndarray
     b_true: np.ndarray
     perm_true: Permutation
-    noise_sigma: float
     y: np.ndarray
-    seed: int
-    dist: DistributionKind
-    h: int
 
 
 @blas.single_threaded()
@@ -242,13 +238,4 @@ def synthesize_instance(
         return y
 
     y = require_finite(observe, "observation Y = P X B + W overflows float64")
-    return ProblemInstance(
-        x=x,
-        b_true=b,
-        perm_true=perm,
-        noise_sigma=float(sigma),
-        y=y,
-        seed=seed,
-        dist=dist,
-        h=h,
-    )
+    return ProblemInstance(x=x, b_true=b, perm_true=perm, y=y)

@@ -583,6 +583,16 @@ class TestErrorPath:
         assert (code, err) == (0, "")
         assert out.splitlines()[:2] == ["stable_rank = 1", "regime = unknown"]
 
+    @pytest.mark.parametrize("n,regime", [(3, "unknown"), (5, "unknown"), (7, "unknown"),
+                                          (8, "hard"), (500, "hard")])
+    def test_diagnose_regime_is_unknown_below_n_8(self, tmp_path, n, regime):
+        # The 2 x 2 identity has stable rank 2 = c0; below n = 8 the bands are out of order.
+        b_path = tmp_path / "b.txt"
+        write_matrix(np.eye(2), b_path)
+        code, out, err, _ = run_main(["diagnose", "--b", b_path, "--sigma", "0.5", "--n", str(n)])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["stable_rank = 2", f"regime = {regime}"]
+
     @pytest.mark.parametrize(
         "flag,message",
         [("--n", "log n! overflows double precision at n of about 1e401"),

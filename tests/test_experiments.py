@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import threading
+import time
 from collections import Counter
 from dataclasses import fields, replace
 from typing import get_type_hints
@@ -186,7 +187,20 @@ class TestRunTrial:
         assert sweep.rows[0].failures == 3
         assert sweep.rows[0].recovery_rate == 0.0
         assert math.isnan(sweep.rows[0].mean_hamming)
+        assert sweep.rows[0].first_error == "synthetic failure"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_error_is_the_first_failed_trial_in_trial_order(self, monkeypatch, workers):
+        # Trial 1 of grid point 0 finishes last on a pool, yet its message is the one kept.
+        def fake_trial(config, grid_index, trial_index):
+            if grid_index == 0 and trial_index % 2:
+                time.sleep(0.05 if trial_index == 1 else 0.0)
+                return TrialResult(hamming=0, rel_b_error=math.nan, ok=False, error=f"trial {trial_index}")
+            return TrialResult(hamming=0, rel_b_error=0.0)
+
+        monkeypatch.setattr(experiments, "run_trial", fake_trial)
+        rows = run_sweep(small_config(trials=4, snr_grid=(1.0, NOISELESS), workers=workers)).rows
+        assert [(row.failures, row.first_error) for row in rows] == [(2, "trial 1"), (0, "")]
 
     def test_cost_larger_than_memory_becomes_flagged_row(self, monkeypatch):
         cfg = small_config(trials=2)

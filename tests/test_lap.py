@@ -71,6 +71,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="NaN"):
             lap_maximize(cost)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg-inf"])
+    @pytest.mark.parametrize("solve", [lap_maximize, lap_brute_force])
+    def test_non_finite_dense_cost_rejected(self, monkeypatch, solve, bad):
+        monkeypatch.setattr(shufflereg.lap, "linear_sum_assignment", None)
+        cost = np.ones((3, 3))
+        cost[2, 0] = bad
+        with pytest.raises(ValueError, match=r"^cost matrix contains NaN or infinite entries$"):
+            solve(cost)
+
+    def test_non_finite_entries_are_reported_before_the_size_guard(self, monkeypatch):
+        monkeypatch.setattr(shufflereg.lap, "_physical_memory_bytes", lambda: 0)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            lap_maximize(np.full((3, 3), np.inf))
+
     def test_brute_force_refuses_large_inputs(self):
         with pytest.raises(ValueError, match="factorial"):
             lap_brute_force(np.ones((11, 11)))
@@ -93,7 +107,9 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(n)
         for _ in range(25):
             cost = rng.standard_normal((n, n))
-            assert lap_maximize(cost).objective == lap_brute_force(cost).objective
+            brute = lap_brute_force(cost)
+            assert lap_maximize(cost).objective == brute.objective
+            assert brute.objective == assignment_objective(cost, brute.perm.indices)
 
     def test_integer_ties_resolve_to_same_lexicographic_optimum(self):
         # Small-integer costs force exact ties; both paths must agree on the
@@ -366,6 +382,20 @@ class TestFactorForm:
         left[1, 0] = bad
         with pytest.raises(ValueError, match=message):
             lap_maximize(left, np.full((3, 2), 1e200))
+
+
+class TestRankOne:
+    @pytest.mark.parametrize("n", [65, 300])
+    def test_optimum_is_the_rank_matching(self, n):
+        # Rearrangement inequality: with distinct entries the unique maximum of
+        # sum_i a_i b_pi(i) pairs the k-th smallest a with the k-th smallest b.
+        for seed in range(10):
+            a, b = np.random.default_rng([n, seed]).standard_normal((2, n))
+            expected = np.empty(n, dtype=np.int64)
+            expected[np.argsort(a)] = np.argsort(b)
+            result = lap_maximize(a[:, None], b[:, None])
+            assert result.perm == Permutation(expected)
+            assert result.objective == assignment_objective(np.outer(a, b), expected)
 
 
 class TestSizeGuard:

@@ -277,6 +277,19 @@ class TestRegimeClassification:
         assert classify_regime(math.log(n), n) is RegimeLabel.MEDIUM
         assert classify_regime(math.nextafter(math.log(n), 0.0), n) is RegimeLabel.HARD
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_below_n_8_is_unknown(self, n):
+        # log n < c0 = 2, so c1 log n < c0 empties the hard band and the bands fall out of order.
+        for srank in (1.0, 2.0, math.log(n), math.log(n) ** 4, 1e6):
+            assert classify_regime(srank, n) is RegimeLabel.UNKNOWN
+
+    def test_n_8_keeps_every_band(self):
+        n = 8  # log 8 ~ 2.08: the smallest n with log n >= c0
+        assert classify_regime(math.nextafter(2.0, 0.0), n) is RegimeLabel.UNKNOWN
+        assert classify_regime(2.0, n) is RegimeLabel.HARD
+        assert classify_regime(math.log(n), n) is RegimeLabel.MEDIUM
+        assert classify_regime(math.log(n) ** 4, n) is RegimeLabel.EASY
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             classify_regime(0.5, 100)

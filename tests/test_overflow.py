@@ -139,5 +139,6 @@ def test_simulate_with_an_overflowing_objective_reports_failed_trials(tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "snr=1e-308 sigma=1e+154 recovery_rate=0 mean_hamming=nan trials=2 failures=2\n"
+        "snr=1e-308 sigma=1e+154 recovery_rate=0 mean_hamming=nan trials=2 failures=2 "
+        "first_error=one-step cost factor Y (Y^T X) overflows float64\n"
     )
