@@ -101,14 +101,11 @@ def cmd_diagnose(args) -> int:
         raise ConfigError(f"sigma must be >= 0, got {args.sigma}")
     if args.n < 3:
         raise ConfigError(f"n must be >= 3, got {args.n}")
-    if args.m is not None and args.m < 1:
-        raise ConfigError(f"m must be >= 1, got {args.m}")
     b = read_matrix(args.b)
-    m = args.m if args.m is not None else b.shape[1]
     # Every value is computed before the first line is printed, so a failure leaves stdout empty.
     srank = stable_rank(b)
     logdet = logdet_ratio(b, args.sigma, args.n) * math.log(args.n) if args.sigma > 0 else None
-    ratio = snr(b, m, args.sigma)
+    ratio = snr(b, b.shape[1], args.sigma)
     regime = classify_regime(srank, args.n)
     threshold = minimax_logdet_threshold(args.n)
     print(f"stable_rank = {srank:.12g}")
@@ -158,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument("--b", required=True, help="signal matrix file (p x m)")
     diagnose.add_argument("--sigma", type=float, required=True, help="noise level (>= 0)")
     diagnose.add_argument("--n", type=int, required=True, help="sample count")
-    diagnose.add_argument("--m", type=int, default=None, help="measurement count (default: columns of B)")
     diagnose.set_defaults(func=cmd_diagnose)
     return parser
 

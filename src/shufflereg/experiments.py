@@ -80,7 +80,6 @@ class ExperimentConfig:
     m: int
     h: int
     dist: DistributionKind = DistributionKind.GAUSSIAN
-    signal: str = "canonical"
     signal_scale: float = 1.0
     snr_grid: tuple = DEFAULT_SNR_GRID
     trials: int = 100
@@ -97,8 +96,6 @@ class ExperimentConfig:
             raise ConfigError(f"n must be >= p, got n={self.n}, p={self.p}")
         if self.h < 0 or self.h > self.n or self.h == 1:
             raise ConfigError(f"h must lie in [0, n] and differ from 1, got h={self.h}")
-        if self.signal != "canonical":
-            raise ConfigError(f"unknown signal kind {self.signal!r}")
         if not self.signal_scale > 0:
             raise ConfigError(f"signal_scale must be positive, got {self.signal_scale}")
         if self.trials < 1:

@@ -17,10 +17,13 @@ then refined on its own. It first tries its columns in ascending order, which
 settles most groups with no solve at all; only if that arrangement is not
 tied does it run restricted re-solves of the group, one per row and repeated
 while they find a tie. A cost without ties costs one solve and the test.
-Larger problems return the solver's deterministic optimum: cost matrices with
-continuous random entries have a unique optimum with probability one, while
-the test, O(n^2) per Bellman-Ford round, costs more than the solve itself on
-such costs at n = 500 and 1000.
+
+n <= 64 is the permanent rule. Larger problems return the solver's
+deterministic optimum: costs with continuous random entries have a unique
+optimum with probability one, while the test alone, O(n^2) per Bellman-Ford
+round plus several more n x n arrays, takes about twice the solve on such costs;
+run at every n, it cut perfbench throughput by 30-66% (README, "Ties").
+
 Every objective, on the solver, tie and oracle paths alike, is the same
 summation of the entries C[i, pi(i)] in ascending row order
 (``assignment_objective``), so equality comparisons are exact. A sum that

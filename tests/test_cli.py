@@ -270,6 +270,15 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_signal_key_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_CONFIG + "signal = canonical\n")
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: unknown config key: signal\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["m", "n"])
     def test_dimension_past_numpy_limit_is_usage_error_naming_key(self, tmp_path, capsys, key):
         # Only values past np.intp's range: the check must fire before anything is allocated.
@@ -453,13 +462,12 @@ class TestDiagnose:
         # ||B||_F^2 = 2e308 overflows; ||B||_F^2 / (2 * 1^2) = 1e308 does not.
         assert float(values["snr"]) == pytest.approx(1e308, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "text,m", [("2 2\n1e154 0\n0 1e154\n", "1"), ("1 1\n1e308\n", "1")]
-    )
-    def test_unrepresentable_snr_fails_before_printing(self, tmp_path, capsys, text, m):
+    # ||B||_F^2 / m with m the column count of B: 2e310 / 2 and 1e616 / 1 overflow.
+    @pytest.mark.parametrize("text", ["2 2\n1e155 0\n0 1e155\n", "1 1\n1e308\n"])
+    def test_unrepresentable_snr_fails_before_printing(self, tmp_path, capsys, text):
         b_path = tmp_path / "b.txt"
         b_path.write_text(text)
-        code = main(["diagnose", "--b", str(b_path), "--sigma", "1", "--n", "100", "--m", m])
+        code = main(["diagnose", "--b", str(b_path), "--sigma", "1", "--n", "100"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -595,9 +603,8 @@ class TestErrorPath:
 
     @pytest.mark.parametrize(
         "flag,message",
-        [("--n", "log n! overflows double precision at n of about 1e401"),
-         ("--m", "m of about 1e401 overflows double precision")],
-        ids=["n", "m"],
+        [("--n", "log n! overflows double precision at n of about 1e401")],
+        ids=["n"],
     )
     def test_diagnose_count_past_double_range_fails_before_printing(self, tmp_path, flag, message):
         b_path = tmp_path / "b.txt"
@@ -606,6 +613,14 @@ class TestErrorPath:
         code, out, err, _ = run_main(argv)
         assert_one_error_line(code, out, err)
         assert err == f"error: {message}\n"
+
+    def test_diagnose_has_no_m_option(self, tmp_path):
+        # m is the column count of B, the only value the model allows.
+        b_path = tmp_path / "b.txt"
+        write_matrix(build_canonical_signal(3, 2, 1.0), b_path)
+        code, out, err, parsed = run_main(["diagnose", "--b", b_path, "--sigma", "1", "--n", "500", "--m", "5"])
+        assert (code, out, parsed) == (2, "", False)
+        assert err.startswith("usage: ") and "unrecognized arguments: --m 5" in err
 
 
 HUGE = "9" * 401
@@ -618,7 +633,6 @@ _CONFIG_VALUES = {
     "m": (["1", "2", "3"], ["0", "-1", "1.5"]),
     "h": (["0", "2", "12"], ["1", "-2", "41", HUGE]),
     "dist": (["gaussian", "rademacher"], ["cauchy", "\u00e9"]),
-    "signal": (["canonical"], ["random"]),
     "signal_scale": (["1", "2.5", "1e-3"], ["0", "-1", "nan", "inf", "1e308", "1e-308"]),
     "snr_grid": (
         ["1", "0.5, 5, noiseless", "1, inf", "logspace(-1, 1, 3)"],
@@ -735,11 +749,9 @@ def cli_argv(draw):
         return [command, "--n", draw(st.one_of(st.integers(100, 150), st.integers(-5, 99), st.just("1e3"))),
                 "--iters", draw(st.integers(-1, 3)), "--seed", draw(st.sampled_from([0, -1, HUGE])),
                 "--out", out()]
-    argv = [command, "--b", path(["b.txt", "b_col.txt", "huge.txt", "zero.txt"], _BROKEN_INPUTS),
+    return [command, "--b", path(["b.txt", "b_col.txt", "huge.txt", "zero.txt"], _BROKEN_INPUTS),
             "--sigma", draw(valid_or_edge(["0", "1", "0.5", "1e-3"], ["-0", "-1", "nan", "inf", "1e308", "1e-308"])),
             "--n", draw(valid_or_edge([3, 500, 10**20], [-1, 0, 2, HUGE]))]
-    m = draw(valid_or_edge([None, 1, 3], [-1, 0, HUGE]))
-    return argv if m is None else [*argv, "--m", m]
 
 
 # Its optimal assignment sum passes 1.8e308; that draw once failed the fuzz test below on a warning.

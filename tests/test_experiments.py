@@ -509,7 +509,6 @@ class TestConfigParsing:
             m = 50
             h = 50
             dist = gaussian
-            signal = canonical
             signal_scale = 1.0
             snr_grid = 0.01, 0.1, 1, 10, noiseless
             trials = 50
@@ -535,14 +534,14 @@ class TestConfigParsing:
 
     def test_config_keys_are_the_config_fields(self):
         text = {
-            "n": "40", "p": "4", "m": "4", "h": "8", "dist": "rademacher", "signal": "canonical",
+            "n": "40", "p": "4", "m": "4", "h": "8", "dist": "rademacher",
             "signal_scale": "1.5", "snr_grid": "1, noiseless", "trials": "2", "master_seed": "3",
             "estimator": "alt_min(4)", "workers": "2",
         }
         assert set(text) == {f.name for f in fields(ExperimentConfig)}
         cfg = parse_config_text("\n".join(f"{key} = {value}" for key, value in text.items()))
         assert cfg == ExperimentConfig(
-            n=40, p=4, m=4, h=8, dist=DistributionKind.RADEMACHER, signal="canonical",
+            n=40, p=4, m=4, h=8, dist=DistributionKind.RADEMACHER,
             signal_scale=1.5, snr_grid=(1.0, NOISELESS), trials=2, master_seed=3,
             estimator="alt_min(4)", workers=2,
         )
@@ -581,6 +580,12 @@ class TestConfigParsing:
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="unknown config key: snr_gird"):
             parse_config_text("n=10\np=2\nm=2\nh=2\nsnr_gird = 1\n")
+
+    def test_signal_is_not_a_config_key(self):
+        # The signal is always the canonical one; naming it is an unknown key like any other.
+        with pytest.raises(ConfigError) as info:
+            parse_config_text("n=10\np=2\nm=2\nh=2\nsignal = canonical\n")
+        assert str(info.value) == "unknown config key: signal"
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
