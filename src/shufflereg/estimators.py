@@ -12,8 +12,6 @@ matching cost C = L R^T, then a least-squares solve on the matched rows.
 * ``alternating_minimization`` — diagnostic baseline: each iteration is the
   oracle step with the previous estimate as B. Reports a full per-iteration
   trace so stagnation is observable.
-* ``reduce_known_direction`` — collapses a p-column problem with known signal
-  direction e to the single-column model on the projection X e.
 
 The one-step, oracle and alternating estimators return an
 ``EstimationResult`` (alternating minimization's subclass adds the trace), so
@@ -155,7 +153,7 @@ def oracle_permutation_estimate(x, y, b_true) -> EstimationResult:
 
 
 def _residual(x: np.ndarray, y: np.ndarray, perm: Permutation, b: np.ndarray) -> float:
-    """||Y - P X B||_F; the row gather ``[perm.indices]`` is ``apply_permutation``'s row action."""
+    """||Y - P X B||_F; the row gather ``[perm.indices]`` is ``model``'s row action."""
     diff = require_finite(
         lambda: y - (x @ b)[perm.indices],
         "alternating-minimization residual Y - P X B overflows float64",
@@ -214,21 +212,3 @@ def alternating_minimization(
         iterations=len(trace),
         trace=tuple(trace),
     )
-
-
-@blas.single_threaded()
-def reduce_known_direction(x, e) -> np.ndarray:
-    """Project the design onto a known unit signal direction.
-
-    Returns X e as an n-by-1 matrix; the p-column problem with known direction
-    then reads as the single-column model on that projection.
-    """
-    xa = require_matrix(x, "x")
-    vec = np.asarray(e, dtype=np.float64).reshape(1, -1)
-    if vec.size != xa.shape[1]:
-        raise ValueError(f"direction has length {vec.size} but x has {xa.shape[1]} columns")
-    vec = require_matrix(vec, "direction")[0]  # non-empty 1 x p, so only a non-finite entry fails
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
-    return require_finite(lambda: (xa @ (vec / norm))[:, None], "projection X e overflows float64")

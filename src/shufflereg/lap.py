@@ -1,4 +1,4 @@
-"""Exact dense linear assignment in maximization form, plus a factorial oracle.
+"""Exact dense linear assignment in maximization form.
 
 ``lap_maximize`` takes the cost C either dense or as two thin factors with
 C = L R^T, which is how every cost in the library arises. It writes -C once,
@@ -24,17 +24,16 @@ optimum with probability one, while the test alone, O(n^2) per Bellman-Ford
 round plus several more n x n arrays, takes about twice the solve on such costs;
 run at every n, it cut perfbench throughput by 30-66% (README, "Ties").
 
-Every objective, on the solver, tie and oracle paths alike, is the same
-summation of the entries C[i, pi(i)] in ascending row order
-(``assignment_objective``), so equality comparisons are exact. A sum that
-overflows float64 raises ValueError (``model.require_finite``): the solver's
-optimum is summed before the tie pass compares anything, so every comparison
-is between finite sums, and a cost whose tie test overflows is refused too.
+Every objective, on the solver and tie paths alike, is the same summation of
+the entries C[i, pi(i)] in ascending row order (``_canonical_sum``), so
+equality comparisons are exact. A sum that overflows float64 raises
+ValueError (``model.require_finite``): the solver's optimum is summed before
+the tie pass compares anything, so every comparison is between finite sums,
+and a cost whose tie test overflows is refused too.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -47,8 +46,6 @@ from .model import Permutation, require_finite, require_matrix
 
 # Above this size the lexicographic tie pass (tie test, then re-solves of tied rows) is skipped.
 LEX_TIEBREAK_MAX_N = 64
-
-BRUTE_FORCE_MAX_N = 10
 
 _COST_NOT_FINITE = "cost matrix contains NaN or infinite entries"
 _OBJECTIVE_OVERFLOWS = (
@@ -71,11 +68,6 @@ def _canonical_sum(entries: np.ndarray) -> float:
     ``np.add.reduce`` is ``np.sum`` without its Python wrapper: the same pairwise summation.
     """
     return require_finite(lambda: float(np.add.reduce(entries)), _OBJECTIVE_OVERFLOWS)
-
-
-def assignment_objective(cost: np.ndarray, indices: np.ndarray) -> float:
-    """Canonical objective: sum of C[i, pi(i)] in ascending row order; ValueError on overflow."""
-    return _canonical_sum(cost[np.arange(cost.shape[0]), indices])
 
 
 def _square_cost(cost) -> np.ndarray:
@@ -268,29 +260,8 @@ def lap_maximize(left, right=None) -> Assignment:
     instrument.record("lap_solve")
     _, col_ind = linear_sum_assignment(neg)
     indices = col_ind.astype(np.int64)
-    # The gathered entries are those of C, so each sum is assignment_objective's.
+    # Negated back, the gathered entries are those of C: the sum the tie pass compares with.
     objective = _canonical_sum(-neg[np.arange(n), indices])
     if n <= LEX_TIEBREAK_MAX_N:
         indices = _lexicographically_canonical(-neg, indices, objective)
     return Assignment(Permutation(indices), objective)
-
-
-def lap_brute_force(cost) -> Assignment:
-    """Exhaustive maximum over all n! permutations (n <= 10), lex-first tie-break.
-
-    Raises ValueError when the objective of any candidate overflows float64.
-    """
-    arr = _square_cost(cost)
-    n = arr.shape[0]
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N} (factorial blow-up)")
-    rows = np.arange(n)
-    candidates = (np.add.reduce(arr[rows, c]) for c in itertools.permutations(range(n)))
-    objectives = require_finite(
-        lambda: np.fromiter(candidates, np.float64, math.factorial(n)), _OBJECTIVE_OVERFLOWS
-    )
-    # permutations() runs in lexicographic order and argmax returns the first maximum; its
-    # objective is already assignment_objective's sum: the same entries, the same reduction.
-    k = int(objectives.argmax())
-    best = next(itertools.islice(itertools.permutations(range(n)), k, None))
-    return Assignment(Permutation(np.array(best, dtype=np.int64)), float(objectives[k]))

@@ -6,8 +6,8 @@ permutation. Matrices are plain float64 numpy arrays in row-major order.
 
 Row-action convention (shared by every module): applying a permutation ``pi``
 to a matrix ``M`` produces a matrix whose row ``i`` equals row ``pi(i)`` of
-``M``. With this convention row ``i`` of ``Y`` is generated from row
-``pi(i)`` of ``X``.
+``M``, the row gather ``M[perm.indices]``. With this convention row ``i`` of
+``Y`` is generated from row ``pi(i)`` of ``X``.
 """
 
 from __future__ import annotations
@@ -102,40 +102,19 @@ class Permutation:
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        if n < 1:
-            raise ValueError("permutation length must be >= 1")
-        return cls(np.arange(n, dtype=np.int64))
-
     def __len__(self) -> int:
         return int(self.indices.size)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self.indices.shape == other.indices.shape and bool(
-            np.array_equal(self.indices, other.indices)
-        )
+        return bool(np.array_equal(self.indices, other.indices))
 
     def __hash__(self) -> int:
         return hash(self.indices.tobytes())
 
-    def inverse(self) -> "Permutation":
-        inv = np.empty(len(self), dtype=np.int64)
-        inv[self.indices] = np.arange(len(self), dtype=np.int64)
-        return Permutation(inv)
-
     def __repr__(self) -> str:
         return f"Permutation({self.indices.tolist()!r})"
-
-
-def apply_permutation(perm: Permutation, mat) -> np.ndarray:
-    """Row action: output row i equals input row perm(i). Preserves the Frobenius norm."""
-    arr = require_matrix(mat, "mat")
-    if len(perm) != arr.shape[0]:
-        raise ValueError(f"permutation length {len(perm)} != row count {arr.shape[0]}")
-    return arr[perm.indices, :]
 
 
 def sample_design_matrix(n: int, p: int, dist: DistributionKind, seed: int) -> np.ndarray:

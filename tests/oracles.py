@@ -1,0 +1,43 @@
+"""Test oracles for the assignment solver: the canonical objective and an exhaustive maximum.
+
+Both use ``shufflereg.lap``'s own summation and checks, so an objective here
+compares exactly (``==``) with one that ``lap_maximize`` returns.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from shufflereg.lap import _OBJECTIVE_OVERFLOWS, Assignment, _canonical_sum, _square_cost
+from shufflereg.model import Permutation, require_finite
+
+BRUTE_FORCE_MAX_N = 10
+
+
+def assignment_objective(cost: np.ndarray, indices: np.ndarray) -> float:
+    """Canonical objective: sum of C[i, pi(i)] in ascending row order; ValueError on overflow."""
+    return _canonical_sum(cost[np.arange(cost.shape[0]), indices])
+
+
+def lap_brute_force(cost) -> Assignment:
+    """Exhaustive maximum over all n! permutations (n <= 10), lex-first tie-break.
+
+    Raises ValueError when the objective of any candidate overflows float64.
+    """
+    arr = _square_cost(cost)
+    n = arr.shape[0]
+    if n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N} (factorial blow-up)")
+    rows = np.arange(n)
+    candidates = (np.add.reduce(arr[rows, c]) for c in itertools.permutations(range(n)))
+    objectives = require_finite(
+        lambda: np.fromiter(candidates, np.float64, math.factorial(n)), _OBJECTIVE_OVERFLOWS
+    )
+    # permutations() runs in lexicographic order and argmax returns the first maximum; its
+    # objective is already assignment_objective's sum: the same entries, the same reduction.
+    k = int(objectives.argmax())
+    best = next(itertools.islice(itertools.permutations(range(n)), k, None))
+    return Assignment(Permutation(np.array(best, dtype=np.int64)), float(objectives[k]))

@@ -22,13 +22,21 @@ from shufflereg.experiments import (
     reproduce_failure_demo,
     run_sweep,
 )
-from shufflereg.lap import lap_brute_force, lap_maximize
-from shufflereg.metrics import NOISELESS, relative_signal_error
+from shufflereg.lap import lap_maximize
+from shufflereg.metrics import (
+    NOISELESS,
+    RegimeLabel,
+    classify_regime,
+    relative_signal_error,
+    stable_rank,
+)
 from shufflereg.model import (
     DistributionKind,
     build_canonical_signal,
     synthesize_instance,
 )
+
+from oracles import lap_brute_force
 
 GAUSSIAN = DistributionKind.GAUSSIAN
 RADEMACHER = DistributionKind.RADEMACHER
@@ -87,7 +95,7 @@ def test_c03_two_column_failure_and_stagnation():
     )
 
 
-def test_c04_easy_regime_transition():
+def test_c04_medium_regime_transition():
     start = time.perf_counter()
     config = ExperimentConfig(
         n=500,
@@ -99,6 +107,8 @@ def test_c04_easy_regime_transition():
         trials=50,
         master_seed=404,
     )
+    # Stable rank 50 at n = 500 is medium: the easy band starts at (log 500)^4, about 1 492.
+    assert classify_regime(stable_rank(config.signal_matrix()), config.n) is RegimeLabel.MEDIUM
     result = run_sweep(config)
     elapsed = time.perf_counter() - start
     rates = [row.recovery_rate for row in result.rows]

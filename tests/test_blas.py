@@ -145,7 +145,6 @@ ENTRY_POINTS = {
     "stable_rank": lambda inst: metrics.stable_rank(inst.b_true),
     "build_onestep_cost": lambda inst: estimators.build_onestep_cost(inst.x, inst.y),
     "lap_maximize": lambda inst: shufflereg.lap.lap_maximize(inst.x, inst.x),
-    "reduce_known_direction": lambda inst: estimators.reduce_known_direction(inst.x, [0.6, 0.8, 0.0]),
     "relative_signal_error": lambda inst: metrics.relative_signal_error(
         2.0 * inst.b_true, inst.b_true
     ),

@@ -82,7 +82,7 @@ class TestSolve:
         )
         assert code == 0
         perm = read_permutation(out_perm)
-        assert perm == Permutation.identity(len(perm))
+        assert perm == Permutation(np.arange(len(perm)))
         b_hat = read_matrix(out_b)
         assert np.allclose(b_hat, inst.b_true, atol=1e-8)
 

@@ -27,11 +27,11 @@ from shufflereg.model import Permutation, build_canonical_signal
 
 class TestHammingDistance:
     def test_identity_to_itself_is_zero(self):
-        ident = Permutation.identity(4)
+        ident = Permutation(np.arange(4))
         assert hamming_distance(ident, ident) == 0
 
     def test_single_swap_is_two(self):
-        assert hamming_distance(Permutation(np.array([1, 0, 2])), Permutation.identity(3)) == 2
+        assert hamming_distance(Permutation(np.array([1, 0, 2])), Permutation(np.arange(3))) == 2
 
     def test_three_cycles_disagree_everywhere(self):
         # Positionwise count: (1,2,0) vs (2,0,1) differ at all three slots.
@@ -41,7 +41,7 @@ class TestHammingDistance:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="lengths"):
-            hamming_distance(Permutation.identity(3), Permutation.identity(4))
+            hamming_distance(Permutation(np.arange(3)), Permutation(np.arange(4)))
 
     def test_metric_axioms_on_random_triples(self):
         rng = np.random.default_rng(5)

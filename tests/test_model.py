@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import shufflereg
 from shufflereg.metrics import hamming_distance, stable_rank
 from shufflereg.model import (
     DistributionKind,
     Permutation,
-    apply_permutation,
     build_canonical_signal,
     sample_design_matrix,
     sample_permutation_with_hamming_weight,
@@ -82,16 +82,20 @@ class TestPermutation:
             Permutation(np.array([0, 3, 1]))
 
     def test_identity_and_equality(self):
-        assert Permutation.identity(4) == Permutation(np.arange(4))
-        assert Permutation(np.array([1, 0])) != Permutation.identity(2)
+        assert Permutation(np.arange(4)) == Permutation(np.array([0, 1, 2, 3]))
+        assert Permutation(np.array([1, 0])) != Permutation(np.arange(2))
+
+    def test_different_lengths_are_unequal(self):
+        assert Permutation(np.arange(3)) != Permutation(np.arange(4))
+        assert Permutation(np.array([2, 0, 1])) != Permutation(np.array([2, 0, 1, 3]))
 
     def test_apply_identity_is_noop(self):
         m = np.arange(12, dtype=float).reshape(4, 3)
-        assert np.array_equal(apply_permutation(Permutation.identity(4), m), m)
+        assert np.array_equal(m[Permutation(np.arange(4)).indices], m)
 
     def test_apply_swap_convention(self):
         # Output row i is input row pi(i): pi = (1, 0) on [[1], [2]] -> [[2], [1]].
-        swapped = apply_permutation(Permutation(np.array([1, 0])), [[1.0], [2.0]])
+        swapped = np.array([[1.0], [2.0]])[Permutation(np.array([1, 0])).indices]
         assert np.array_equal(swapped, [[2.0], [1.0]])
 
     def test_apply_preserves_frobenius_norm(self):
@@ -100,7 +104,7 @@ class TestPermutation:
             n = int(rng.integers(2, 30))
             perm = Permutation(rng.permutation(n))
             m = rng.standard_normal((n, int(rng.integers(1, 5))))
-            assert np.linalg.norm(apply_permutation(perm, m)) == pytest.approx(np.linalg.norm(m))
+            assert np.linalg.norm(m[perm.indices]) == pytest.approx(np.linalg.norm(m))
 
     def test_inverse_roundtrip_on_matrices(self):
         rng = np.random.default_rng(1)
@@ -108,13 +112,9 @@ class TestPermutation:
             n = int(rng.integers(2, 40))
             perm = Permutation(rng.permutation(n))
             m = rng.standard_normal((n, 3))
-            inv = perm.inverse()
-            assert np.array_equal(apply_permutation(inv, apply_permutation(perm, m)), m)
-            assert np.array_equal(apply_permutation(perm, apply_permutation(inv, m)), m)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="row count"):
-            apply_permutation(Permutation.identity(3), np.ones((4, 2)))
+            inv = Permutation(np.argsort(perm.indices))
+            assert np.array_equal(m[perm.indices][inv.indices], m)
+            assert np.array_equal(m[inv.indices][perm.indices], m)
 
 
 @st.composite
@@ -131,8 +131,10 @@ class TestPermutationAlgebra:
     @given(permutation_and_matrix())
     def test_inverse_undoes_apply(self, case):
         perm, _, mat = case
-        assert np.array_equal(apply_permutation(perm.inverse(), apply_permutation(perm, mat)), mat)
-        assert perm.inverse().inverse() == perm
+        inv = Permutation(np.argsort(perm.indices))
+        assert np.array_equal(mat[perm.indices][inv.indices], mat)
+        assert np.array_equal(mat[inv.indices][perm.indices], mat)
+        assert Permutation(np.argsort(inv.indices)) == perm
 
     @settings(max_examples=100, deadline=None)
     @given(permutation_and_matrix())
@@ -140,27 +142,25 @@ class TestPermutationAlgebra:
         # Applying perm then other takes row i from perm(other(i)).
         perm, other, mat = case
         composed = Permutation(perm.indices[other.indices])
-        assert np.array_equal(
-            apply_permutation(composed, mat), apply_permutation(other, apply_permutation(perm, mat))
-        )
+        assert np.array_equal(mat[composed.indices], mat[perm.indices][other.indices])
 
     @settings(max_examples=100, deadline=None)
     @given(permutation_and_matrix())
     def test_frobenius_norm_is_kept_exactly(self, case):
         # fsum rounds the exact sum once, so it does not depend on the row order.
         perm, _, mat = case
-        moved = apply_permutation(perm, mat)
+        moved = mat[perm.indices]
         assert math.fsum((moved * moved).ravel()) == math.fsum((mat * mat).ravel())
 
 
 class TestPermutationSampling:
     def test_zero_weight_is_identity(self):
-        assert sample_permutation_with_hamming_weight(5, 0, seed=0) == Permutation.identity(5)
+        assert sample_permutation_with_hamming_weight(5, 0, seed=0) == Permutation(np.arange(5))
 
     def test_weight_two_is_a_transposition(self):
         perm = sample_permutation_with_hamming_weight(5, 2, seed=0)
-        assert hamming_distance(perm, Permutation.identity(5)) == 2
-        assert perm == perm.inverse()
+        assert hamming_distance(perm, Permutation(np.arange(5))) == 2
+        assert perm == Permutation(np.argsort(perm.indices))
 
     def test_weight_one_is_impossible(self):
         with pytest.raises(ValueError, match="one displaced point"):
@@ -209,7 +209,7 @@ class TestSynthesizeInstance:
     def test_noiseless_is_exactly_permuted_product(self):
         b = build_canonical_signal(4, 3, 1.5)
         inst = synthesize_instance(20, 4, 3, 6, GAUSSIAN, b, 0.0, seed=7)
-        residual = inst.y - apply_permutation(inst.perm_true, inst.x @ b)
+        residual = inst.y - (inst.x @ b)[inst.perm_true.indices]
         assert np.all(residual == 0.0)
 
     def test_same_seed_is_bit_identical(self):
@@ -230,7 +230,7 @@ class TestSynthesizeInstance:
     def test_exact_displacement_count(self):
         b = build_canonical_signal(3, 3, 1.0)
         inst = synthesize_instance(40, 3, 3, 12, GAUSSIAN, b, 1.0, seed=2)
-        assert hamming_distance(inst.perm_true, Permutation.identity(40)) == 12
+        assert hamming_distance(inst.perm_true, Permutation(np.arange(40))) == 12
 
     def test_cross_correlation_mean_identity(self):
         # Monte-Carlo oracle for E[X^T Y] = (n - h) B: estimate the entrywise
@@ -252,3 +252,28 @@ class TestSynthesizeInstance:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
             synthesize_instance(10, 2, 2, 0, GAUSSIAN, np.ones((2, 2)), -1.0, seed=0)
+
+
+class TestPublicSurface:
+    REMOVED = {
+        "estimators": ["reduce_known_direction"],
+        "lap": ["BRUTE_FORCE_MAX_N", "assignment_objective", "lap_brute_force"],
+        "model": ["apply_permutation"],
+    }
+
+    def test_every_exported_name_resolves_once(self):
+        assert len(set(shufflereg.__all__)) == len(shufflereg.__all__)
+        for name in shufflereg.__all__:
+            assert hasattr(shufflereg, name), name
+        namespace = {}
+        exec("from shufflereg import *", namespace)
+        assert set(shufflereg.__all__) <= namespace.keys()
+
+    def test_removed_names_are_not_exported(self):
+        for module, names in self.REMOVED.items():
+            for name in names:
+                assert name not in shufflereg.__all__
+                assert not hasattr(shufflereg, name), name
+                assert not hasattr(getattr(shufflereg, module), name), f"{module}.{name}"
+        assert not hasattr(Permutation, "identity")
+        assert not hasattr(Permutation, "inverse")
