@@ -10,8 +10,9 @@ matching cost C = L R^T, then a least-squares solve on the matched rows.
 * ``least_squares_signal`` — signal recovery for a known permutation using an
   orthogonal factorization; the normal equations are never formed.
 * ``alternating_minimization`` — diagnostic baseline: each iteration is the
-  oracle step with the previous estimate as B. Reports a full per-iteration
-  trace so stagnation is observable.
+  match-and-fit step on the oracle's cost Y (X B)^T with the previous
+  estimate as B, whose X B is also that estimate's residual fit. Reports a
+  full per-iteration trace so stagnation is observable.
 
 The one-step, oracle and alternating estimators return an
 ``EstimationResult`` (alternating minimization's subclass adds the trace), so
@@ -139,26 +140,21 @@ def one_step_estimate(x, y) -> EstimationResult:
     return _match_and_fit(xa, y, left, xa)
 
 
-@blas.single_threaded()
-def oracle_permutation_estimate(x, y, b_true) -> EstimationResult:
-    """Assignment solve on Y (X B)^T for a known matching direction B, then least squares."""
-    xa, ya = _validate_pair(x, y)
-    ba = require_matrix(b_true, "signal")
+def _direction(xa: np.ndarray, ya: np.ndarray, b) -> np.ndarray:
+    """Matching direction X B of the cost Y (X B)^T, after checking B against X and Y."""
+    ba = require_matrix(b, "signal")
     if ba.shape[0] != xa.shape[1]:
         raise ValueError(f"signal has {ba.shape[0]} rows but x has {xa.shape[1]} columns")
     if ba.shape[1] != ya.shape[1]:
         raise ValueError(f"signal has {ba.shape[1]} columns but y has {ya.shape[1]}")
-    direction = require_finite(lambda: xa @ ba, "oracle matching direction X B overflows float64")
-    return _match_and_fit(xa, ya, ya, direction)
+    return require_finite(lambda: xa @ ba, "oracle matching direction X B overflows float64")
 
 
-def _residual(x: np.ndarray, y: np.ndarray, perm: Permutation, b: np.ndarray) -> float:
-    """||Y - P X B||_F; the row gather ``[perm.indices]`` is ``model``'s row action."""
-    diff = require_finite(
-        lambda: y - (x @ b)[perm.indices],
-        "alternating-minimization residual Y - P X B overflows float64",
-    )
-    return frobenius_norm(diff, "alternating-minimization residual ||Y - P X B||_F")
+@blas.single_threaded()
+def oracle_permutation_estimate(x, y, b_true) -> EstimationResult:
+    """Assignment solve on Y (X B)^T for a known matching direction B, then least squares."""
+    xa, ya = _validate_pair(x, y)
+    return _match_and_fit(xa, ya, ya, _direction(xa, ya, b_true))
 
 
 @blas.single_threaded()
@@ -173,14 +169,13 @@ def alternating_minimization(
 ) -> AltMinResult:
     """Alternate assignment and least-squares steps starting from ``init_b``.
 
-    Each iteration is ``oracle_permutation_estimate`` with the previous
-    estimate as the matching direction; ``init_b`` defaults to X^T Y, so
-    iteration 0 reproduces the one-step estimate. Each half-step minimizes the
-    shared residual ||Y - P X B||_F, which is therefore non-increasing along
-    the trace. Stops after ``max_iters`` further iterations, or earlier once
-    the permutation repeats (a fixed point) unless ``stop_on_repeat`` is
-    false. When ``ref_perm`` is given, each record carries the Hamming
-    distance to it.
+    Each iteration is the oracle step with the previous estimate as the
+    matching direction; ``init_b`` defaults to X^T Y, so iteration 0
+    reproduces the one-step estimate. Each half-step minimizes the shared
+    residual ||Y - P X B||_F, which is therefore non-increasing along the
+    trace. Stops after ``max_iters`` further iterations, or earlier once the
+    permutation repeats (a fixed point) unless ``stop_on_repeat`` is false.
+    When ``ref_perm`` is given, each record carries the Hamming distance to it.
     """
     xa, ya = _validate_pair(x, y)
     if max_iters < 0:
@@ -190,21 +185,25 @@ def alternating_minimization(
         b = require_finite(
             lambda: xa.T @ ya, "alternating-minimization start X^T Y overflows float64"
         )
+    direction = _direction(xa, ya, b)
+    overflow = "alternating-minimization residual Y - P X B overflows float64"
     trace: list[AltMinRecord] = []
     for t in range(max_iters + 1):
-        est = oracle_permutation_estimate(xa, ya, b)
+        est = _match_and_fit(xa, ya, ya, direction)
         perm = est.perm_hat
+        # X B_hat is this iteration's fit and the next iteration's matching direction.
+        direction = require_finite(lambda: xa @ est.b_hat, overflow)
+        diff = require_finite(lambda: ya - direction[perm.indices], overflow)
         trace.append(
             AltMinRecord(
                 iteration=t,
                 perm=perm,
-                residual=_residual(xa, ya, perm, est.b_hat),
+                residual=frobenius_norm(diff, "alternating-minimization residual ||Y - P X B||_F"),
                 hamming=None if ref_perm is None else hamming_distance(perm, ref_perm),
             )
         )
         if stop_on_repeat and t > 0 and perm == trace[-2].perm:
             break
-        b = est.b_hat
     return AltMinResult(
         perm_hat=perm,
         b_hat=est.b_hat,

@@ -1,11 +1,11 @@
 """Exact dense linear assignment in maximization form.
 
-``lap_maximize`` takes the cost C either dense or as two thin factors with
-C = L R^T, which is how every cost in the library arises. It writes -C once,
-as (-L) R^T, and hands that one n x n buffer to a shortest-augmenting-path
-minimizer (scipy's linear_sum_assignment), which is exact and O(n^3).
-Negating the thin factor is exact, so the buffer is -C bit for bit up to the
-sign of zero entries.
+``lap_maximize`` takes the cost C as two thin factors with C = L R^T, which
+is how every cost in the library arises. It writes -C once, as (-L) R^T, and
+hands that one n x n buffer to a shortest-augmenting-path minimizer (scipy's
+linear_sum_assignment), which is exact and O(n^3). Negating the thin factor
+is exact, so the buffer is -C bit for bit up to the sign of zero entries. A
+dense cost C is the pair (C, I), whose product (-C) I is -C up to the same signs.
 
 Ties between optimal assignments are broken toward the lexicographically
 smallest index map for n <= 64. The tie pass first finds, on the exchange
@@ -47,7 +47,6 @@ from .model import Permutation, require_finite, require_matrix
 # Above this size the lexicographic tie pass (tie test, then re-solves of tied rows) is skipped.
 LEX_TIEBREAK_MAX_N = 64
 
-_COST_NOT_FINITE = "cost matrix contains NaN or infinite entries"
 _OBJECTIVE_OVERFLOWS = (
     "assignment objective sum_i C[i, pi(i)] overflows float64 (above about 1.8e308); "
     "rescale the inputs"
@@ -68,15 +67,6 @@ def _canonical_sum(entries: np.ndarray) -> float:
     ``np.add.reduce`` is ``np.sum`` without its Python wrapper: the same pairwise summation.
     """
     return require_finite(lambda: float(np.add.reduce(entries)), _OBJECTIVE_OVERFLOWS)
-
-
-def _square_cost(cost) -> np.ndarray:
-    arr = np.asarray(cost, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"cost matrix must be square, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise ValueError("cost matrix must be non-empty")
-    return require_finite(lambda: arr, _COST_NOT_FINITE)
 
 
 def _reduced_costs(cost: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -225,23 +215,19 @@ def _physical_memory_bytes() -> int:
 
 
 @blas.single_threaded()
-def lap_maximize(left, right=None) -> Assignment:
+def lap_maximize(left, right) -> Assignment:
     """Permutation maximizing sum_i C[i, pi(i)] exactly, for C = left @ right.T.
 
-    With ``right`` omitted, C = left. Given the two n-by-r factors, the dense
-    product is formed once, negated, as the only n-by-n allocation. Raises
-    ValueError before that allocation if its 8 n^2 bytes exceed physical
-    memory, on non-square or mismatched input or non-finite entries, when
-    finite factors have a product that overflows float64, and when the
-    objective or the tie test overflows it.
+    The dense product of the two n-by-r factors is formed once, negated, as
+    the only n-by-n allocation. Raises ValueError before that allocation if
+    its 8 n^2 bytes exceed physical memory, on mismatched factors or
+    non-finite entries, when finite factors have a product that overflows
+    float64, and when the objective or the tie test overflows it.
     """
-    if right is None:
-        arr = _square_cost(left)
-    else:
-        arr = require_matrix(left, "cost factor left")
-        factor = require_matrix(right, "cost factor right")
-        if arr.shape != factor.shape:
-            raise ValueError(f"cost factors must have one shape, got {arr.shape} and {factor.shape}")
+    arr = require_matrix(left, "cost factor left")
+    factor = require_matrix(right, "cost factor right")
+    if arr.shape != factor.shape:
+        raise ValueError(f"cost factors must have one shape, got {arr.shape} and {factor.shape}")
     n = arr.shape[0]
     need, limit = 8 * n * n, _physical_memory_bytes()
     if need > limit:
@@ -249,14 +235,11 @@ def lap_maximize(left, right=None) -> Assignment:
             f"assignment with n={n} needs a dense {n}x{n} cost of {need} bytes "
             f"({need / 2**30:.3g} GiB), more than the {limit} bytes of physical memory"
         )
-    if right is None:
-        neg = -arr
-    else:
-        neg = require_finite(
-            lambda: (-arr) @ factor.T,
-            "cost matrix left @ right.T has NaN or infinite entries: the product of "
-            "finite factors overflows float64 (above about 1.8e308); rescale the inputs",
-        )
+    neg = require_finite(
+        lambda: (-arr) @ factor.T,
+        "cost matrix left @ right.T has NaN or infinite entries: the product of "
+        "finite factors overflows float64 (above about 1.8e308); rescale the inputs",
+    )
     instrument.record("lap_solve")
     _, col_ind = linear_sum_assignment(neg)
     indices = col_ind.astype(np.int64)

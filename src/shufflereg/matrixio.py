@@ -18,7 +18,7 @@ Values are written with the shortest representation that round-trips a
 float64 exactly (up to 17 significant digits), so read(write(M)) reproduces M
 bit for bit.
 
-Permutation format: one index per line.
+Permutation format: one index per line. Every error names the file.
 """
 
 from __future__ import annotations
@@ -136,4 +136,9 @@ def read_permutation(path: str | os.PathLike) -> Permutation:
         indices = np.array([int(tok) for tok in tokens], dtype=np.int64)
     except ValueError:
         raise ValueError(f"{path}: permutation file contains a non-integer token") from None
-    return Permutation(indices)
+    except OverflowError:  # past int64, so past every n
+        raise ValueError(f"{path}: permutation indices out of range") from None
+    try:
+        return Permutation(indices)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

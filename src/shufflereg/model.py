@@ -88,9 +88,12 @@ class Permutation:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = np.asarray(self.indices)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("permutation must be a non-empty 1-D index array")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"permutation indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64)
         n = idx.size
         seen = np.zeros(n, dtype=bool)
         if idx.min() < 0 or idx.max() >= n:
@@ -98,7 +101,6 @@ class Permutation:
         seen[idx] = True
         if not seen.all():
             raise ValueError("permutation indices are not a bijection")
-        idx = idx.copy()
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 

@@ -1,7 +1,8 @@
 """Test oracles for the assignment solver: the canonical objective and an exhaustive maximum.
 
-Both use ``shufflereg.lap``'s own summation and checks, so an objective here
-compares exactly (``==``) with one that ``lap_maximize`` returns.
+Both use ``shufflereg.lap``'s own summation, so an objective here compares
+exactly (``==``) with one that ``lap_maximize`` returns. ``dense`` spells a
+dense cost C as the factor pair (C, I) that ``lap_maximize`` takes.
 """
 
 from __future__ import annotations
@@ -11,10 +12,15 @@ import math
 
 import numpy as np
 
-from shufflereg.lap import _OBJECTIVE_OVERFLOWS, Assignment, _canonical_sum, _square_cost
+from shufflereg.lap import _OBJECTIVE_OVERFLOWS, Assignment, _canonical_sum
 from shufflereg.model import Permutation, require_finite
 
 BRUTE_FORCE_MAX_N = 10
+
+
+def dense(cost) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (C, I) of a square cost C: ``lap_maximize(*dense(C))`` solves C."""
+    return cost, np.eye(np.shape(cost)[0])
 
 
 def assignment_objective(cost: np.ndarray, indices: np.ndarray) -> float:
@@ -27,7 +33,12 @@ def lap_brute_force(cost) -> Assignment:
 
     Raises ValueError when the objective of any candidate overflows float64.
     """
-    arr = _square_cost(cost)
+    arr = np.asarray(cost, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"cost matrix must be square, got shape {arr.shape}")
+    if arr.shape[0] == 0:
+        raise ValueError("cost matrix must be non-empty")
+    require_finite(lambda: arr, "cost matrix contains NaN or infinite entries")
     n = arr.shape[0]
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N} (factorial blow-up)")

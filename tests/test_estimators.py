@@ -278,6 +278,16 @@ class TestLeastSquaresSignal:
 
 
 class TestAlternatingMinimization:
+    @pytest.mark.parametrize("iters", [0, 5])
+    def test_one_assignment_and_one_ls_solve_per_iteration(self, iters):
+        inst = synthesize_instance(
+            60, 4, 4, 10, GAUSSIAN, build_canonical_signal(4, 4, 1.0), 0.1, seed=1
+        )
+        before = instrument.snapshot()
+        alternating_minimization(inst.x, inst.y, max_iters=iters, stop_on_repeat=False)
+        delta = instrument.delta_since(before)
+        assert delta == {"lap_solve": iters + 1, "ls_solve": iters + 1}
+
     def test_oracle_init_converges_immediately(self):
         b = build_canonical_signal(20, 20, 1.0)
         inst = synthesize_instance(200, 20, 20, 50, GAUSSIAN, b, 0.0, seed=3)

@@ -173,3 +173,21 @@ def test_permutation_file_validation(tmp_path):
     path.write_text("0\nx\n")
     with pytest.raises(ValueError, match="non-integer"):
         read_permutation(path)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "non-empty"),
+        ("0\n0\n1\n", "not a bijection"),
+        ("0\n3\n1\n", "out of range"),
+        ("0\n99999999999999999999\n", "out of range"),
+    ],
+    ids=["empty", "duplicate", "out-of-range", "past-int64"],
+)
+def test_permutation_file_errors_name_the_path(tmp_path, text, message):
+    path = tmp_path / "perm.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as err:
+        read_permutation(path)
+    assert str(err.value).startswith(f"{path}: ")

@@ -81,6 +81,12 @@ class TestPermutation:
         with pytest.raises(ValueError, match="out of range"):
             Permutation(np.array([0, 3, 1]))
 
+    @pytest.mark.parametrize("indices", [np.array([0.7, 1.9]), [True, False]], ids=["float", "bool"])
+    def test_rejects_non_integer_indices(self, indices):
+        # Casting would truncate [0.7, 1.9] to [0, 1] and read [True, False] as [1, 0].
+        with pytest.raises(ValueError, match="must be integers"):
+            Permutation(indices)
+
     def test_identity_and_equality(self):
         assert Permutation(np.arange(4)) == Permutation(np.array([0, 1, 2, 3]))
         assert Permutation(np.array([1, 0])) != Permutation(np.arange(2))

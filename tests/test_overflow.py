@@ -20,7 +20,7 @@ from shufflereg.lap import lap_maximize
 from shufflereg.metrics import relative_signal_error
 from shufflereg.model import Permutation, require_finite
 
-from oracles import assignment_objective, lap_brute_force
+from oracles import assignment_objective, dense, lap_brute_force
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -62,7 +62,7 @@ class TestAssignmentObjective:
         with pytest.raises(ValueError, match=OBJECTIVE):
             lap_maximize(factor, factor)
         with pytest.raises(ValueError, match=OBJECTIVE):
-            lap_maximize(factor @ factor.T)
+            lap_maximize(*dense(factor @ factor.T))
 
     def test_assignment_objective(self):
         with pytest.raises(ValueError, match=OBJECTIVE):
@@ -78,7 +78,7 @@ class TestAssignmentObjective:
         cost = np.zeros((n, n))
         cost[:, :10] = np.random.default_rng(3).integers(0, 2, (n, 10))
         scale = 2.0**1019
-        plain, scaled = lap_maximize(cost), lap_maximize(cost * scale)
+        plain, scaled = lap_maximize(*dense(cost)), lap_maximize(*dense(cost * scale))
         assert scaled.perm == plain.perm
         assert scaled.objective == plain.objective * scale
 
@@ -86,7 +86,7 @@ class TestAssignmentObjective:
         # The optimum sums to 0, but C[0, 0] - C[0, 1] = 2e308 in the tie test.
         cost = np.array([[1e308, -1e308], [0.0, -1e308]])
         with pytest.raises(ValueError, match="^assignment tie test overflows float64"):
-            lap_maximize(cost)
+            lap_maximize(*dense(cost))
 
 
 class TestEstimators:
