@@ -161,31 +161,28 @@ def oracle_permutation_estimate(x, y, b_true) -> EstimationResult:
 def alternating_minimization(
     x,
     y,
-    init_b=None,
-    max_iters: int = 100,
     *,
+    max_iters: int = 100,
     ref_perm: Permutation | None = None,
     stop_on_repeat: bool = True,
 ) -> AltMinResult:
-    """Alternate assignment and least-squares steps starting from ``init_b``.
+    """Alternate assignment and least-squares steps starting from B = X^T Y.
 
     Each iteration is the oracle step with the previous estimate as the
-    matching direction; ``init_b`` defaults to X^T Y, so iteration 0
-    reproduces the one-step estimate. Each half-step minimizes the shared
-    residual ||Y - P X B||_F, which is therefore non-increasing along the
-    trace. Stops after ``max_iters`` further iterations, or earlier once the
-    permutation repeats (a fixed point) unless ``stop_on_repeat`` is false.
-    When ``ref_perm`` is given, each record carries the Hamming distance to it.
+    matching direction; the start X^T Y makes iteration 0 the one-step
+    estimate. Each half-step minimizes the shared residual ||Y - P X B||_F,
+    which is therefore non-increasing along the trace. Stops after
+    ``max_iters`` further iterations, or earlier once the permutation repeats
+    (a fixed point) unless ``stop_on_repeat`` is false. When ``ref_perm`` is
+    given, each record carries the Hamming distance to it.
     """
     xa, ya = _validate_pair(x, y)
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    b = init_b
-    if b is None:
-        b = require_finite(
-            lambda: xa.T @ ya, "alternating-minimization start X^T Y overflows float64"
-        )
-    direction = _direction(xa, ya, b)
+    start = require_finite(
+        lambda: xa.T @ ya, "alternating-minimization start X^T Y overflows float64"
+    )
+    direction = _direction(xa, ya, start)
     overflow = "alternating-minimization residual Y - P X B overflows float64"
     trace: list[AltMinRecord] = []
     for t in range(max_iters + 1):

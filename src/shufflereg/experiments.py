@@ -80,7 +80,6 @@ class ExperimentConfig:
     m: int
     h: int
     dist: DistributionKind = DistributionKind.GAUSSIAN
-    signal_scale: float = 1.0
     snr_grid: tuple = DEFAULT_SNR_GRID
     trials: int = 100
     master_seed: int = 0
@@ -96,8 +95,6 @@ class ExperimentConfig:
             raise ConfigError(f"n must be >= p, got n={self.n}, p={self.p}")
         if self.h < 0 or self.h > self.n or self.h == 1:
             raise ConfigError(f"h must lie in [0, n] and differ from 1, got h={self.h}")
-        if not self.signal_scale > 0:
-            raise ConfigError(f"signal_scale must be positive, got {self.signal_scale}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
@@ -114,7 +111,7 @@ class ExperimentConfig:
         object.__setattr__(self, "snr_grid", grid)
 
     def signal_matrix(self) -> np.ndarray:
-        return build_canonical_signal(self.p, self.m, self.signal_scale)
+        return build_canonical_signal(self.p, self.m, 1.0)
 
     @cached_property
     def _signal(self) -> np.ndarray:
@@ -232,17 +229,15 @@ def _aggregate(
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run every (grid point, trial) pair; row order follows the grid.
 
-    The noise level of every grid point is computed first, so one out of
-    double range fails the sweep before any trial runs. The pairs then run in
-    grid-major order, with OpenBLAS single-threaded for the whole sweep
-    (``shufflereg.blas``), on ``min(config.workers, os.cpu_count())`` threads:
-    on the calling thread when that is 1, otherwise on a pool. A pool starts a
-    thread on every submit while none is idle, so without the cap it would
-    start up to one thread per trial. Either way each trial, and each row's
-    aggregation, starts from an empty ``contextvars`` context,
-    so it sees numpy's default floating-point error state whatever the caller
-    set. The caller's BLAS thread counts are restored on return, also when a
-    trial raises.
+    The pairs run in grid-major order, with OpenBLAS single-threaded for the
+    whole sweep (``shufflereg.blas``), on ``min(config.workers, os.cpu_count())``
+    threads: on the calling thread when that is 1, otherwise on a pool. A pool
+    starts a thread on every submit while none is idle, so without the cap it
+    would start up to one thread per trial. Either way each trial, and each
+    row's aggregation, starts from an empty ``contextvars`` context, so it sees
+    numpy's default floating-point error state whatever the caller set. The
+    caller's BLAS thread counts are restored on return, also when a trial
+    raises.
     """
     sigmas = config._sigmas
 
@@ -348,10 +343,9 @@ def _parse_snr_grid(value: str) -> tuple:
     return tuple(grid)
 
 
-# Each config key is parsed by its ExperimentConfig annotation; int, float and str parse themselves.
+# Each config key is parsed by its ExperimentConfig annotation; int and str parse themselves.
 _CONFIG_TYPES = get_type_hints(ExperimentConfig)
 _VALUE_PARSERS = {DistributionKind: DistributionKind.from_name, tuple: _parse_snr_grid}
-_NUMBER_NOUNS = {int: "an integer", float: "a number"}
 _REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
 
 
@@ -375,7 +369,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         except ConfigError:
             raise
         except ValueError as exc:
-            reason = f"key {key!r} needs {_NUMBER_NOUNS[kind]}" if kind in _NUMBER_NOUNS else exc
+            reason = f"key {key!r} needs an integer" if kind is int else exc
             raise ConfigError(f"line {line_no}: {reason}") from None
     missing = [key for key in _REQUIRED_KEYS if key not in values]
     if missing:
@@ -384,8 +378,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """Parse the config file at ``path``: UTF-8 text, a leading byte-order mark ignored."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")  # the UTF-8 byte-order mark
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -18,7 +18,8 @@ Values are written with the shortest representation that round-trips a
 float64 exactly (up to 17 significant digits), so read(write(M)) reproduces M
 bit for bit.
 
-Permutation format: one index per line. Every error names the file.
+Permutation format: one index per line, a decimal integer without
+underscores. Every error names the file.
 """
 
 from __future__ import annotations
@@ -74,12 +75,18 @@ def _non_ascii_error(path, exc: UnicodeDecodeError, kind: str) -> ValueError:
     )
 
 
+def _int_token(token: str) -> int:
+    if "_" in token:  # int() reads 1_0 as 10, but the file formats refuse underscores
+        raise ValueError(f"underscore in integer token {token!r}")
+    return int(token)
+
+
 def _read_header(fh, path) -> tuple[int, int]:
     header = fh.readline().split()
     if len(header) != 2:
         raise ValueError(f"{path}: expected 'rows cols' header, got {header!r}")
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = _int_token(header[0]), _int_token(header[1])
     except ValueError:
         raise ValueError(f"{path}: non-integer dimensions in header {header!r}") from None
     if rows < 1 or cols < 1:
@@ -133,7 +140,7 @@ def read_permutation(path: str | os.PathLike) -> Permutation:
     except UnicodeDecodeError as exc:
         raise _non_ascii_error(path, exc, "permutation") from None
     try:
-        indices = np.array([int(tok) for tok in tokens], dtype=np.int64)
+        indices = np.array([_int_token(tok) for tok in tokens], dtype=np.int64)
     except ValueError:
         raise ValueError(f"{path}: permutation file contains a non-integer token") from None
     except OverflowError:  # past int64, so past every n

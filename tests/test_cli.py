@@ -1,3 +1,4 @@
+import codecs
 import io
 import itertools
 import os
@@ -232,16 +233,6 @@ class TestSimulate:
             assert capsys.readouterr().err.splitlines()[-1].startswith("snr=noiseless sigma=0 ")
         assert outs["inf"].read_bytes() == outs["noiseless"].read_bytes()
 
-    def test_noise_level_out_of_range_is_runtime_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.txt"
-        # sigma = sqrt(||B||_F^2 / (m snr)) = 1e300 / sqrt(1e-300) = 1e450.
-        cfg.write_text("n = 20\np = 2\nm = 2\nh = 0\nsignal_scale = 1e300\nsnr_grid = 1e-300\ntrials = 1\n")
-        out = tmp_path / "sweep.csv"
-        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
-        assert code == 1
-        assert "overflows double precision" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(TINY_CONFIG)
@@ -271,13 +262,29 @@ class TestSimulate:
         assert "bogus_key" in capsys.readouterr().err
 
     def test_signal_key_is_an_unknown_key(self, tmp_path, capsys):
+        # The signal is always the canonical one at scale 1, so neither key exists.
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(TINY_CONFIG + "signal = canonical\n")
         out = tmp_path / "o.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: unknown config key: signal\n")
-        assert not out.exists()
+        for key, value in (("signal", "canonical"), ("signal_scale", "1.0")):
+            cfg.write_text(TINY_CONFIG + f"{key} = {value}\n")
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: unknown config key: {key}\n")
+            assert not out.exists()
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(TINY_CONFIG)
+        marked.write_bytes(codecs.BOM_UTF8 + TINY_CONFIG.encode())
+        outs = [tmp_path / "plain.csv", tmp_path / "marked.csv"]
+        for cfg, out in zip((plain, marked), outs):
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        capsys.readouterr()
+        # The mark holds no newline, so a bad byte after it is still on the right line.
+        marked.write_bytes(codecs.BOM_UTF8 + b"n = 20\np = 2\nm = 2\nh = 0\n# caf\xe9\n")
+        assert main(["simulate", "--config", str(marked), "--out", str(outs[1])]) == 2
+        assert capsys.readouterr().err == f"error: {marked}: line 5: byte 0xe9 is not UTF-8\n"
 
     @pytest.mark.parametrize("key", ["m", "n"])
     def test_dimension_past_numpy_limit_is_usage_error_naming_key(self, tmp_path, capsys, key):
@@ -344,15 +351,6 @@ class TestSimulate:
         row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
         assert 1e150 < float(row["mean_rel_b_error"]) < 1e160
         assert "Warning" not in capsys.readouterr().err
-
-    def test_overflowing_observation_is_runtime_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.txt"
-        # X B overflows wherever |x| > 1.8; sigma = 1e308 itself is representable.
-        cfg.write_text("n = 20\np = 2\nm = 2\nh = 0\nsignal_scale = 1e308\nsnr_grid = 1\ntrials = 2\n")
-        out = tmp_path / "sweep.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: observation Y = P X B + W overflows float64\n"
-        assert not out.exists()
 
 
 class TestDemoFailure:
@@ -633,7 +631,6 @@ _CONFIG_VALUES = {
     "m": (["1", "2", "3"], ["0", "-1", "1.5"]),
     "h": (["0", "2", "12"], ["1", "-2", "41", HUGE]),
     "dist": (["gaussian", "rademacher"], ["cauchy", "\u00e9"]),
-    "signal_scale": (["1", "2.5", "1e-3"], ["0", "-1", "nan", "inf", "1e308", "1e-308"]),
     "snr_grid": (
         ["1", "0.5, 5, noiseless", "1, inf", "logspace(-1, 1, 3)"],
         ["0", "-1", "nan", "1e308", "1e-308", "noiseless, 1", "1, 1", "logspace(0, 1, 0)",

@@ -236,6 +236,24 @@ class TestOraclePermutationEstimate:
         with pytest.raises(ValueError, match="^signal has 3 rows but x has 2 columns$"):
             oracle_permutation_estimate(np.ones((4, 2)), np.ones((4, 2)), np.ones((3, 2)))
 
+    @pytest.mark.parametrize(
+        "b,message",
+        [
+            (np.ones((2, 2)), "signal has 2 rows but x has 3 columns"),
+            (np.ones((3, 1)), "signal has 1 columns but y has 2"),
+            (np.ones(3), "signal must be 2-D, got ndim=1"),
+            (np.array([[0.0, 1.0], [np.nan, 0.0], [0.0, 0.0]]), "signal contains non-finite entries"),
+            (np.full((3, 2), np.inf), "signal contains non-finite entries"),
+        ],
+        ids=["rows", "columns", "vector", "nan", "inf"],
+    )
+    def test_bad_signal_is_refused(self, b, message):
+        inst = synthesize_instance(
+            20, 3, 2, 6, GAUSSIAN, build_canonical_signal(3, 2, 1.0), 0.1, seed=4
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            oracle_permutation_estimate(inst.x, inst.y, b)
+
 
 class TestLeastSquaresSignal:
     def test_identity_design_returns_observation(self):
@@ -287,14 +305,6 @@ class TestAlternatingMinimization:
         alternating_minimization(inst.x, inst.y, max_iters=iters, stop_on_repeat=False)
         delta = instrument.delta_since(before)
         assert delta == {"lap_solve": iters + 1, "ls_solve": iters + 1}
-
-    def test_oracle_init_converges_immediately(self):
-        b = build_canonical_signal(20, 20, 1.0)
-        inst = synthesize_instance(200, 20, 20, 50, GAUSSIAN, b, 0.0, seed=3)
-        result = alternating_minimization(inst.x, inst.y, init_b=b, max_iters=5)
-        assert result.trace[0].perm == inst.perm_true
-        assert result.perm_hat == inst.perm_true
-        assert result.iterations <= 3  # fixed point detected
 
     def test_residual_trace_non_increasing(self):
         for seed in range(5):
@@ -357,22 +367,10 @@ class TestAlternatingMinimization:
             assert trace[t].residual == float(residual)
             b = oracle.b_hat
 
-    @pytest.mark.parametrize(
-        "init_b,message",
-        [
-            (np.ones((2, 2)), "signal has 2 rows but x has 3 columns"),
-            (np.ones((3, 1)), "signal has 1 columns but y has 2"),
-            (np.ones(3), "signal must be 2-D, got ndim=1"),
-            (np.array([[0.0, 1.0], [np.nan, 0.0], [0.0, 0.0]]), "signal contains non-finite entries"),
-            (np.full((3, 2), np.inf), "signal contains non-finite entries"),
-        ],
-        ids=["rows", "columns", "vector", "nan", "inf"],
-    )
-    def test_bad_init_b_raises_the_oracles_error(self, init_b, message):
-        inst = synthesize_instance(
-            20, 3, 2, 6, GAUSSIAN, build_canonical_signal(3, 2, 1.0), 0.1, seed=4
-        )
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            alternating_minimization(inst.x, inst.y, init_b=init_b)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            oracle_permutation_estimate(inst.x, inst.y, init_b)
+    def test_start_is_not_an_argument(self):
+        # The start is always X^T Y: a B passed third is a TypeError, never read as max_iters.
+        x, y, b = np.ones((20, 3)), np.ones((20, 2)), np.ones((3, 2))
+        with pytest.raises(TypeError, match="takes 2 positional arguments but 3 were given"):
+            alternating_minimization(x, y, b)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'init_b'"):
+            alternating_minimization(x, y, init_b=b)

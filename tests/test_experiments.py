@@ -381,12 +381,17 @@ class TestRunSweep:
         run_trial(cfg, 0, 0)
         fresh = small_config()
         assert cfg == fresh and hash(cfg) == hash(fresh)
-        moved = replace(cfg, signal_scale=2.0)
-        assert moved._sigmas == tuple(2.0 * s for s in cfg._sigmas)
+        moved = replace(cfg, snr_grid=tuple(4.0 * snr for snr in cfg.snr_grid))
+        assert moved._sigmas == tuple(s / 2.0 for s in cfg._sigmas)
 
-    def test_trials_ignore_the_callers_floating_point_error_state(self):
-        # At this scale the one-step cost Y Y^T X X^T underflows, which numpy ignores by default.
-        cfg = small_config(n=40, p=3, m=3, signal_scale=1e-160, snr_grid=(1.0, NOISELESS), trials=3)
+    def test_trials_ignore_the_callers_floating_point_error_state(self, monkeypatch):
+        # Every trial underflows a numpy scalar, which numpy ignores by default.
+        def underflowing_estimate(x, y):
+            np.float64(1e-300) * np.float64(1e-300)
+            return estimators.one_step_estimate(x, y)
+
+        monkeypatch.setattr(experiments, "one_step_estimate", underflowing_estimate)
+        cfg = small_config(n=40, p=3, m=3, snr_grid=(1.0, NOISELESS), trials=3)
         with pytest.raises(FloatingPointError, match="underflow"), np.errstate(all="raise"):
             run_trial(cfg, 0, 0)
         expected = format_csv(run_sweep(cfg))
@@ -509,7 +514,6 @@ class TestConfigParsing:
             m = 50
             h = 50
             dist = gaussian
-            signal_scale = 1.0
             snr_grid = 0.01, 0.1, 1, 10, noiseless
             trials = 50
             master_seed = 42
@@ -535,14 +539,14 @@ class TestConfigParsing:
     def test_config_keys_are_the_config_fields(self):
         text = {
             "n": "40", "p": "4", "m": "4", "h": "8", "dist": "rademacher",
-            "signal_scale": "1.5", "snr_grid": "1, noiseless", "trials": "2", "master_seed": "3",
+            "snr_grid": "1, noiseless", "trials": "2", "master_seed": "3",
             "estimator": "alt_min(4)", "workers": "2",
         }
         assert set(text) == {f.name for f in fields(ExperimentConfig)}
         cfg = parse_config_text("\n".join(f"{key} = {value}" for key, value in text.items()))
         assert cfg == ExperimentConfig(
             n=40, p=4, m=4, h=8, dist=DistributionKind.RADEMACHER,
-            signal_scale=1.5, snr_grid=(1.0, NOISELESS), trials=2, master_seed=3,
+            snr_grid=(1.0, NOISELESS), trials=2, master_seed=3,
             estimator="alt_min(4)", workers=2,
         )
         with pytest.raises(ConfigError, match="unknown config key: _sigmas"):
@@ -552,7 +556,6 @@ class TestConfigParsing:
         "line,message",
         [
             ("trials = 2.5", "line 5: key 'trials' needs an integer"),
-            ("signal_scale = big", "line 5: key 'signal_scale' needs a number"),
             ("dist = laplace", "line 5: unknown distribution 'laplace'; expected one of: "),
             ("snr_grid = 1, loud", "cannot parse snr grid token 'loud'"),
             ("snr_grid = logspace(a, 1, 3)", "line 5: could not convert string to float: 'a'"),
@@ -582,10 +585,12 @@ class TestConfigParsing:
             parse_config_text("n=10\np=2\nm=2\nh=2\nsnr_gird = 1\n")
 
     def test_signal_is_not_a_config_key(self):
-        # The signal is always the canonical one; naming it is an unknown key like any other.
-        with pytest.raises(ConfigError) as info:
-            parse_config_text("n=10\np=2\nm=2\nh=2\nsignal = canonical\n")
-        assert str(info.value) == "unknown config key: signal"
+        # The signal is always the canonical one at scale 1; naming it or its scale is an
+        # unknown key like any other.
+        for key, value in (("signal", "canonical"), ("signal_scale", "1.0")):
+            with pytest.raises(ConfigError) as info:
+                parse_config_text(f"n=10\np=2\nm=2\nh=2\n{key} = {value}\n")
+            assert str(info.value) == f"unknown config key: {key}"
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

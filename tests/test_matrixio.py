@@ -73,6 +73,7 @@ def test_header_and_layout(tmp_path):
     [
         ("2\n1 2\n", "header"),
         ("a b\n1 2\n", "non-integer"),
+        ("1_0 1\n" + "1\n" * 10, "non-integer"),  # int() would read 10 rows
         ("2 2\n1 2\n", "ends after"),
         ("2 2\n1 2\n3\n", "entries"),
         ("1 1\nxyz\n", "non-numeric"),
@@ -182,8 +183,10 @@ def test_permutation_file_validation(tmp_path):
         ("0\n0\n1\n", "not a bijection"),
         ("0\n3\n1\n", "out of range"),
         ("0\n99999999999999999999\n", "out of range"),
+        # int() would read 1_0 as 10, making this a valid permutation of 11.
+        ("".join(f"{i}\n" for i in range(10)) + "1_0\n", "non-integer token"),
     ],
-    ids=["empty", "duplicate", "out-of-range", "past-int64"],
+    ids=["empty", "duplicate", "out-of-range", "past-int64", "underscore"],
 )
 def test_permutation_file_errors_name_the_path(tmp_path, text, message):
     path = tmp_path / "perm.txt"
