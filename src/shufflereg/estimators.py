@@ -140,21 +140,17 @@ def one_step_estimate(x, y) -> EstimationResult:
     return _match_and_fit(xa, y, left, xa)
 
 
-def _direction(xa: np.ndarray, ya: np.ndarray, b) -> np.ndarray:
-    """Matching direction X B of the cost Y (X B)^T, after checking B against X and Y."""
-    ba = require_matrix(b, "signal")
-    if ba.shape[0] != xa.shape[1]:
-        raise ValueError(f"signal has {ba.shape[0]} rows but x has {xa.shape[1]} columns")
-    if ba.shape[1] != ya.shape[1]:
-        raise ValueError(f"signal has {ba.shape[1]} columns but y has {ya.shape[1]}")
-    return require_finite(lambda: xa @ ba, "oracle matching direction X B overflows float64")
-
-
 @blas.single_threaded()
 def oracle_permutation_estimate(x, y, b_true) -> EstimationResult:
     """Assignment solve on Y (X B)^T for a known matching direction B, then least squares."""
     xa, ya = _validate_pair(x, y)
-    return _match_and_fit(xa, ya, ya, _direction(xa, ya, b_true))
+    ba = require_matrix(b_true, "signal")
+    if ba.shape[0] != xa.shape[1]:
+        raise ValueError(f"signal has {ba.shape[0]} rows but x has {xa.shape[1]} columns")
+    if ba.shape[1] != ya.shape[1]:
+        raise ValueError(f"signal has {ba.shape[1]} columns but y has {ya.shape[1]}")
+    direction = require_finite(lambda: xa @ ba, "oracle matching direction X B overflows float64")
+    return _match_and_fit(xa, ya, ya, direction)
 
 
 @blas.single_threaded()
@@ -179,10 +175,10 @@ def alternating_minimization(
     xa, ya = _validate_pair(x, y)
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    start = require_finite(
-        lambda: xa.T @ ya, "alternating-minimization start X^T Y overflows float64"
+    direction = require_finite(
+        lambda: xa @ (xa.T @ ya),
+        "alternating-minimization start direction X X^T Y overflows float64",
     )
-    direction = _direction(xa, ya, start)
     overflow = "alternating-minimization residual Y - P X B overflows float64"
     trace: list[AltMinRecord] = []
     for t in range(max_iters + 1):

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import blas
 from .estimators import alternating_minimization, one_step_estimate, oracle_permutation_estimate
+from .matrixio import decimal_token
 from .metrics import (
     NOISELESS,
     hamming_distance,
@@ -46,7 +47,7 @@ from .metrics import (
 from .model import DistributionKind, build_canonical_signal, require_finite, synthesize_instance
 from .rng import derive_seed
 
-_ESTIMATOR_RE = re.compile(r"^(one_step|oracle_perm|alt_min)(?:\((\d+)\))?$")
+_ESTIMATOR_RE = re.compile(r"^(one_step|oracle_perm|alt_min)(?:\((\d+)\))?$", re.ASCII)
 
 
 class ConfigError(ValueError):
@@ -91,6 +92,8 @@ class ExperimentConfig:
         for key in ("n", "p", "m"):
             if not 1 <= getattr(self, key) <= limit:
                 raise ConfigError(f"{key} must lie in [1, {limit}], got {getattr(self, key)}")
+        if self.n < 2:  # the log-det ratio of a grid point divides by log n
+            raise ConfigError(f"n must be >= 2, got {self.n}")
         if self.n < self.p:
             raise ConfigError(f"n must be >= p, got n={self.n}, p={self.p}")
         if self.h < 0 or self.h > self.n or self.h == 1:
@@ -329,7 +332,8 @@ def _parse_snr_grid(value: str) -> tuple:
             args = token[len("logspace(") : -1].split(",")
             if len(args) != 3:
                 raise ConfigError(f"logspace expects (start, stop, count), got {token!r}")
-            start, stop, count = float(args[0]), float(args[1]), int(args[2])
+            start, stop = decimal_token(args[0], float), decimal_token(args[1], float)
+            count = decimal_token(args[2])
             if count < 1:
                 raise ConfigError(f"logspace count must be >= 1, got {count}")
             message = (f"snr grid token {token!r} gives non-finite values: 10**start and "
@@ -337,15 +341,17 @@ def _parse_snr_grid(value: str) -> tuple:
             grid += require_finite(lambda: np.logspace(start, stop, count), message).tolist()
         else:
             try:
-                grid.append(float(token))
+                grid.append(decimal_token(token, float))
             except ValueError:
                 raise ConfigError(f"cannot parse snr grid token {token!r}") from None
     return tuple(grid)
 
 
-# Each config key is parsed by its ExperimentConfig annotation; int and str parse themselves.
+# Each config key is parsed by its ExperimentConfig annotation; str parses itself.
 _CONFIG_TYPES = get_type_hints(ExperimentConfig)
-_VALUE_PARSERS = {DistributionKind: DistributionKind.from_name, tuple: _parse_snr_grid}
+_VALUE_PARSERS = {
+    int: decimal_token, DistributionKind: DistributionKind.from_name, tuple: _parse_snr_grid
+}
 _REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
 
 

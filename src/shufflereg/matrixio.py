@@ -75,10 +75,15 @@ def _non_ascii_error(path, exc: UnicodeDecodeError, kind: str) -> ValueError:
     )
 
 
-def _int_token(token: str) -> int:
-    if "_" in token:  # int() reads 1_0 as 10, but the file formats refuse underscores
-        raise ValueError(f"underscore in integer token {token!r}")
-    return int(token)
+def decimal_token(token: str, kind: type = int):
+    """``kind(token)`` for ``kind`` int or float, in the grammar of the files and the sweep config.
+
+    int() and float() also read underscores (``1_0`` is 10) and non-ASCII
+    digits (``٢`` is 2); the grammar refuses both.
+    """
+    if "_" in token or not token.isascii():
+        raise ValueError(f"number {token.strip()!r} has an underscore or a non-ASCII character")
+    return kind(token)
 
 
 def _read_header(fh, path) -> tuple[int, int]:
@@ -86,7 +91,7 @@ def _read_header(fh, path) -> tuple[int, int]:
     if len(header) != 2:
         raise ValueError(f"{path}: expected 'rows cols' header, got {header!r}")
     try:
-        rows, cols = _int_token(header[0]), _int_token(header[1])
+        rows, cols = decimal_token(header[0]), decimal_token(header[1])
     except ValueError:
         raise ValueError(f"{path}: non-integer dimensions in header {header!r}") from None
     if rows < 1 or cols < 1:
@@ -140,7 +145,7 @@ def read_permutation(path: str | os.PathLike) -> Permutation:
     except UnicodeDecodeError as exc:
         raise _non_ascii_error(path, exc, "permutation") from None
     try:
-        indices = np.array([_int_token(tok) for tok in tokens], dtype=np.int64)
+        indices = np.array([decimal_token(tok) for tok in tokens], dtype=np.int64)
     except ValueError:
         raise ValueError(f"{path}: permutation file contains a non-integer token") from None
     except OverflowError:  # past int64, so past every n

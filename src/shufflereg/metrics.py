@@ -87,29 +87,19 @@ def frobenius_norm(arr: np.ndarray, what: str) -> float:
     )
 
 
-def operator_norm(b) -> float:
-    """Largest singular value, as the root of the top Gram eigenvalue.
-
-    Dividing by a power of two first is exact and keeps the squares in range.
-    """
-    arr = require_matrix(b, "b")
-    scale = _power_of_two_scale(arr)
-    return scale * math.sqrt(float(_gram_eigenvalues(arr / scale)[-1]))
-
-
 def stable_rank(b) -> float:
     """||B||_F^2 / ||B||_op^2. Lies in [1, rank(B)] for nonzero B.
 
-    The ratio is taken on B over a power of two, as in ``operator_norm``.
+    Both squares are taken on B over a power of two, which is exact and keeps
+    them in range; ||B||_op^2 is the top Gram eigenvalue.
     """
     arr = require_matrix(b, "b")
     scaled = arr / _power_of_two_scale(arr)
     fro_sq = float(np.sum(scaled * scaled))
     if fro_sq == 0.0:
         raise ValueError("stable rank is undefined for the zero matrix")
-    op = operator_norm(scaled)
     # The norms of a rank-one B agree, and rounding can leave their ratio an ulp below 1.
-    return max(1.0, fro_sq / (op * op))
+    return max(1.0, fro_sq / float(_gram_eigenvalues(scaled)[-1]))
 
 
 def snr(b, m: int, sigma: float) -> float:

@@ -286,6 +286,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(marked), "--out", str(outs[1])]) == 2
         assert capsys.readouterr().err == f"error: {marked}: line 5: byte 0xe9 is not UTF-8\n"
 
+    @pytest.mark.parametrize("grid", ["1", "noiseless"])
+    def test_n_below_two_is_usage_error_before_any_trial(self, tmp_path, capsys, monkeypatch, grid):
+        # A noisy grid point ran every trial and then failed in its log-det ratio; a
+        # noiseless-only grid exited 0.
+        monkeypatch.setattr(shufflereg.experiments, "run_trial", lambda *args: pytest.fail("a trial ran"))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"n = 1\np = 1\nm = 1\nh = 0\ntrials = 2\nsnr_grid = {grid}\n")
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: n must be >= 2, got 1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["m", "n"])
     def test_dimension_past_numpy_limit_is_usage_error_naming_key(self, tmp_path, capsys, key):
         # Only values past np.intp's range: the check must fire before anything is allocated.

@@ -567,6 +567,29 @@ class TestConfigParsing:
         assert str(info.value).startswith(message)
 
     @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("n = 1_00", "line 1: key 'n' needs an integer"),
+            ("trials = 1_0", "line 1: key 'trials' needs an integer"),
+            ("trials = \u0662", "line 1: key 'trials' needs an integer"),
+            ("snr_grid = 1_0", "cannot parse snr grid token '1_0'"),
+            ("snr_grid = \u0661, noiseless", "cannot parse snr grid token '\u0661'"),
+            ("snr_grid = logspace(1_0, 20, 3)",
+             "line 1: number '1_0' has an underscore or a non-ASCII character"),
+            ("snr_grid = logspace(0, 1, \u0663)",
+             "line 1: number '\u0663' has an underscore or a non-ASCII character"),
+            ("estimator = alt_min(\u0662)", "unknown estimator 'alt_min(\u0662)'"),
+        ],
+    )
+    def test_numbers_follow_the_file_grammar(self, line, message):
+        # int() and float() read underscores and non-ASCII digits; matrix files refuse both.
+        key = line.split()[0]
+        rest = "".join(f"{k} = 10\n" for k in "npmh" if k != key)
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(f"{line}\n{rest}")
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize(
         "token",
         ["logspace(0, 400, 2)", "logspace(1e308, 1, 3)", "logspace(0, inf, 2)", "logspace(nan, 1, 2)"],
     )

@@ -17,12 +17,17 @@ from shufflereg.metrics import (
     hamming_distance,
     logdet_ratio,
     minimax_logdet_threshold,
-    operator_norm,
     relative_signal_error,
     snr,
     stable_rank,
 )
 from shufflereg.model import Permutation, build_canonical_signal
+
+
+def svd_stable_rank(b):
+    """||B||_F^2 / sigma_1^2 from the singular values, each over sigma_1 so no square overflows."""
+    svals = np.linalg.svd(b, compute_uv=False)
+    return float(np.sum((svals / svals[0]) ** 2))
 
 
 class TestHammingDistance:
@@ -114,19 +119,22 @@ class TestStableRank:
         ids=lambda shape: f"{shape[0]}x{shape[1]}",
     )
     def test_operator_norm_agrees_with_svd(self, shape):
+        # ||B||_op is computed only inside stable_rank, so the operator-norm tests check it there.
         b = np.random.default_rng(3).standard_normal(shape)
-        svd_norm = float(np.linalg.svd(b, compute_uv=False)[0])
-        assert operator_norm(b) == pytest.approx(svd_norm, rel=1e-12)
+        assert stable_rank(b) == pytest.approx(svd_stable_rank(b), rel=1e-12)
 
     def test_operator_norm_of_diagonal(self):
-        assert operator_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
-        assert operator_norm(np.diag([1.0, -4.0, 2.0])) == pytest.approx(4.0)
+        for diagonal, exact in (([3.0, 1.0], 10.0 / 9.0), ([1.0, -4.0, 2.0], 21.0 / 16.0)):
+            b = np.diag(diagonal)
+            assert svd_stable_rank(b) == pytest.approx(exact, rel=1e-15)
+            assert stable_rank(b) == pytest.approx(exact, rel=1e-12)
 
     def test_operator_norm_at_extreme_scales(self):
         # Squaring these entries would overflow or underflow a float64.
-        assert operator_norm(np.diag([1e200, 1.0])) == pytest.approx(1e200)
-        assert operator_norm(np.diag([1e-170, -2e-170])) == pytest.approx(2e-170)
-        assert operator_norm(np.zeros((2, 3))) == 0.0
+        for diagonal, exact in (([1e200, 5e199], 1.25), ([1e-170, -2e-170, 1e-170], 1.5)):
+            b = np.diag(diagonal)
+            assert svd_stable_rank(b) == pytest.approx(exact, rel=1e-15)
+            assert stable_rank(b) == pytest.approx(exact, rel=1e-12)
 
 
 class TestSnr:

@@ -264,6 +264,7 @@ class TestPublicSurface:
     REMOVED = {
         "estimators": ["reduce_known_direction"],
         "lap": ["BRUTE_FORCE_MAX_N", "assignment_objective", "lap_brute_force"],
+        "metrics": ["operator_norm"],
         "model": ["apply_permutation"],
     }
 

@@ -25,6 +25,7 @@ from oracles import assignment_objective, dense, lap_brute_force
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 OBJECTIVE = r"^assignment objective sum_i C\[i, pi\(i\)\] overflows float64"
+START = r"^alternating-minimization start direction X X\^T Y overflows float64$"
 
 
 def pair(n=6, p=3, m=2, seed=0):
@@ -99,8 +100,16 @@ class TestEstimators:
 
     def test_alternating_minimization_default_start(self):
         x, y = pair(n=40, p=3, m=3)
-        with pytest.raises(ValueError, match=r"^alternating-minimization start X\^T Y overflows float64$"):
+        with pytest.raises(ValueError, match=START):
             alternating_minimization(x * 1e154, y * 1e154, max_iters=0)
+
+    def test_alternating_minimization_start_direction(self):
+        # X^T Y is about 1e170 and finite; its direction X X^T Y is about 1e320.
+        x, y = pair(n=40, p=3, m=3)
+        x, y = x * 1e150, y * 1e20
+        assert np.all(np.isfinite(x.T @ y))
+        with pytest.raises(ValueError, match=START):
+            alternating_minimization(x, y, max_iters=0)
 
     def test_least_squares_signal(self):
         x, y = pair(n=40, p=3, m=3)
