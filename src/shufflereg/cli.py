@@ -16,6 +16,7 @@ line on stderr, with stdout left empty: ``ConfigError`` exits 2; ``OSError``
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -32,7 +33,7 @@ from .experiments import (
     write_csv,
     write_trace_csv,
 )
-from .matrixio import read_matrix, write_matrix, write_permutation
+from .matrixio import decimal_token, read_matrix, write_matrix, write_permutation
 from .metrics import (
     classify_regime,
     logdet_ratio,
@@ -44,6 +45,13 @@ from .metrics import (
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+
+
+# argparse types: numbers in the grammar of the files. argparse names a type in its message
+# ("invalid int value: '5_00'"), so each keeps the name of the builtin it stands for.
+_INT = functools.partial(decimal_token, kind=int)
+_FLOAT = functools.partial(decimal_token, kind=float)
+_INT.__name__, _FLOAT.__name__ = "int", "float"
 
 
 def _fail(message: str, code: int) -> int:
@@ -140,21 +148,21 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run a Monte-Carlo sweep from a config file")
     simulate.add_argument("--config", required=True, help="flat key = value config file")
     simulate.add_argument("--out", required=True, help="output CSV path")
-    simulate.add_argument("--workers", type=int, default=None, help="override worker count")
-    simulate.add_argument("--seed", type=int, default=None, help="override the master seed")
+    simulate.add_argument("--workers", type=_INT, default=None, help="override worker count")
+    simulate.add_argument("--seed", type=_INT, default=None, help="override the master seed")
     simulate.set_defaults(func=cmd_simulate)
 
     demo = sub.add_parser("demo-failure", help="two-column single-observation stagnation trace")
-    demo.add_argument("--n", type=int, default=1000, help="sample count (>= 100)")
-    demo.add_argument("--iters", type=int, default=100, help="alternating iterations")
-    demo.add_argument("--seed", type=int, default=0, help="instance seed")
+    demo.add_argument("--n", type=_INT, default=1000, help="sample count (>= 100)")
+    demo.add_argument("--iters", type=_INT, default=100, help="alternating iterations")
+    demo.add_argument("--seed", type=_INT, default=0, help="instance seed")
     demo.add_argument("--out", required=True, help="output trace CSV path")
     demo.set_defaults(func=cmd_demo_failure)
 
     diagnose = sub.add_parser("diagnose", help="feasibility diagnostics for a signal file")
     diagnose.add_argument("--b", required=True, help="signal matrix file (p x m)")
-    diagnose.add_argument("--sigma", type=float, required=True, help="noise level (>= 0)")
-    diagnose.add_argument("--n", type=int, required=True, help="sample count")
+    diagnose.add_argument("--sigma", type=_FLOAT, required=True, help="noise level (>= 0)")
+    diagnose.add_argument("--n", type=_INT, required=True, help="sample count")
     diagnose.set_defaults(func=cmd_diagnose)
     return parser
 

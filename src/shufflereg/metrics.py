@@ -5,6 +5,13 @@ classification.
 SNR is defined as ||B||_F^2 / (m * sigma^2), so the noiseless case (sigma = 0)
 is SNR = +inf. It is the float ``NOISELESS``, which equals, hashes and orders
 as ``math.inf`` and differs only in its repr, ``noiseless``.
+
+One scaling rule serves every metric of a matrix: it squares B / 2**e, never
+B. ``_mantissa`` picks 2**e, the power of two just above max|B| (capped at
+2**1023), so the division is exact and no square overflows; ``_ldexp_finite``
+puts the power of two back and raises a ValueError naming the quantity when
+the result passes the double range. Where the direct formula stays in range,
+``frobenius_norm``, ``snr`` and ``sigma_for_snr`` equal it to the bit.
 """
 
 from __future__ import annotations
@@ -49,52 +56,30 @@ def _gram_eigenvalues(arr: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(side), 0.0, None)
 
 
-def _power_of_two_scale(arr: np.ndarray) -> float:
-    """The power of two just above the largest |entry|, capped at 2**1023; dividing by it is exact."""
-    return math.ldexp(1.0, min(math.frexp(float(np.abs(arr).max()))[1], 1023))
+def _mantissa(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """(arr / 2**e, e), with 2**e the power of two just above max|arr|, capped at 2**1023."""
+    exponent = min(math.frexp(float(np.abs(arr).max()))[1], 1023)
+    return arr / math.ldexp(1.0, exponent), exponent
 
 
-def _sum_of_squares(arr: np.ndarray) -> tuple[float, int]:
-    """(total, exponent) with sum of squared entries = total * 2**exponent.
-
-    The squares are taken over ``_power_of_two_scale``, so they stay in range;
-    the rescale is exact, so total * 2**exponent equals the plain sum to the
-    bit wherever that sum and its terms are normal doubles.
-    """
-    scale = _power_of_two_scale(arr)
-    scaled = arr / scale
-    return float(np.sum(scaled * scaled)), 2 * (math.frexp(scale)[1] - 1)
+_OVERFLOWS = "overflows double precision (above about 1.8e308)"
 
 
-def _ldexp_finite(value: float, exponent: int, what: str) -> float:
-    """value * 2**exponent, rounded as IEEE underflow rounds; ValueError when it overflows."""
-    try:
-        return math.ldexp(value, exponent)
-    except OverflowError:
-        raise ValueError(f"{what} overflows double precision (above about 1.8e308)") from None
+def _ldexp_finite(value, exponent: int, message: str):
+    """value * 2**exponent, a float or an array, rounded as IEEE underflow rounds, or ValueError."""
+    result = require_finite(lambda: np.ldexp(value, exponent), message)
+    return float(result) if np.ndim(result) == 0 else result
 
 
 def frobenius_norm(arr: np.ndarray, what: str) -> float:
-    """||arr||_F over ``_power_of_two_scale``, so no square overflows.
-
-    The rescale is exact, so the value is the plain norm's to the bit
-    wherever that norm and its squares are normal doubles. ValueError naming
-    ``what`` when the norm itself overflows.
-    """
-    scale = _power_of_two_scale(arr)
-    return require_finite(
-        lambda: scale * float(np.linalg.norm(arr / scale)), f"{what} overflows float64"
-    )
+    """||arr||_F by the scaling rule; ValueError naming ``what`` when the norm overflows."""
+    scaled, exponent = _mantissa(arr)
+    return _ldexp_finite(float(np.linalg.norm(scaled)), exponent, f"{what} overflows float64")
 
 
 def stable_rank(b) -> float:
-    """||B||_F^2 / ||B||_op^2. Lies in [1, rank(B)] for nonzero B.
-
-    Both squares are taken on B over a power of two, which is exact and keeps
-    them in range; ||B||_op^2 is the top Gram eigenvalue.
-    """
-    arr = require_matrix(b, "b")
-    scaled = arr / _power_of_two_scale(arr)
+    """||B||_F^2 / ||B||_op^2, both of ``_mantissa(B)``. Lies in [1, rank(B)] for nonzero B."""
+    scaled, _ = _mantissa(require_matrix(b, "b"))
     fro_sq = float(np.sum(scaled * scaled))
     if fro_sq == 0.0:
         raise ValueError("stable rank is undefined for the zero matrix")
@@ -103,27 +88,26 @@ def stable_rank(b) -> float:
 
 
 def snr(b, m: int, sigma: float) -> float:
-    """||B||_F^2 / (m * sigma^2); returns NOISELESS when sigma = 0.
+    """||B||_F^2 / (m * sigma^2); NOISELESS when sigma = 0.
 
-    B and sigma are split into mantissa and power of two, so the squares
-    cannot over- or underflow: the value is bit-identical to the direct
-    formula where that formula stays in range, a value below the double
-    range rounds toward 0, and one above it raises ValueError.
+    B and sigma are split into mantissa and power of two, so a value below
+    the double range rounds toward 0 and one above it raises ValueError.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if sigma < 0:
+    if not sigma >= 0:  # nan fails every comparison, so test for the valid range
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    arr = require_matrix(b, "b")
+    scaled, exponent = _mantissa(require_matrix(b, "b"))
     if sigma == 0:
         return NOISELESS
-    total, exponent = _sum_of_squares(arr)
+    total = float(np.sum(scaled * scaled))
     mantissa, sigma_exponent = math.frexp(sigma)
     try:
         denominator = m * mantissa * mantissa
     except OverflowError:  # m itself is past the double range
         raise ValueError(f"m of about 1e{math.log10(m):.0f} overflows double precision") from None
-    return _ldexp_finite(total / denominator, exponent - 2 * sigma_exponent, f"snr at sigma={sigma:g}")
+    what = f"snr at sigma={sigma:g} {_OVERFLOWS}"
+    return _ldexp_finite(total / denominator, 2 * (exponent - sigma_exponent), what)
 
 
 def sigma_for_snr(b, m: int, target_snr: float) -> float:
@@ -132,33 +116,37 @@ def sigma_for_snr(b, m: int, target_snr: float) -> float:
         raise ValueError(f"target snr must be positive, got {target_snr}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    arr = require_matrix(b, "b")
-    total, exponent = _sum_of_squares(arr)
+    scaled, exponent = _mantissa(require_matrix(b, "b"))
+    total = float(np.sum(scaled * scaled))
     if total == 0.0:
         raise ValueError("signal must be nonzero")
-    # sqrt(total * 2**e / (m * snr)) with the even part of the exponent taken
-    # out of the root: exact, so the result is the direct formula's wherever
-    # that formula stays in range.
+    # sqrt(total * 2**(2e) / (m * snr)) with the even part of the exponent taken out of the root.
     mantissa, snr_exponent = math.frexp(target_snr)
-    half, odd = divmod(exponent - snr_exponent, 2)
+    half, odd = divmod(2 * exponent - snr_exponent, 2)
     what = f"noise level for snr {target_snr:g}"
-    sigma = _ldexp_finite(math.sqrt(math.ldexp(total / (m * mantissa), odd)), half, what)
+    root = math.sqrt(math.ldexp(total / (m * mantissa), odd))
+    sigma = _ldexp_finite(root, half, f"{what} {_OVERFLOWS}")
     if sigma == 0.0 and math.isfinite(target_snr):
         raise ValueError(f"{what} underflows double precision (below about 5e-324)")
     return sigma
 
 
 def logdet_ratio(b, sigma: float, n: int) -> float:
-    """logdet(I + B^T B / sigma^2) / log n via eigenvalues of the Gram matrix."""
-    if sigma <= 0:
+    """logdet(I + B^T B / sigma^2) / log n via eigenvalues of the Gram matrix of ``_mantissa(B)``.
+
+    ValueError only when a singular value of B / sigma passes about 1.3e154.
+    """
+    if not sigma > 0:  # nan fails every comparison, so test for the valid range
         raise ValueError(f"sigma must be > 0 for the log-det ratio, got {sigma}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    arr = require_matrix(b, "b")
-    ratios = require_finite(
-        lambda: _gram_eigenvalues(arr) / (sigma * sigma),
-        f"B^T B / sigma^2 overflows double precision at sigma={sigma:g}; "
-        "the log-det ratio depends only on B / sigma, so rescale both",
+    scaled, exponent = _mantissa(require_matrix(b, "b"))
+    mantissa, sigma_exponent = math.frexp(sigma)
+    ratios = _ldexp_finite(
+        _gram_eigenvalues(scaled) / (mantissa * mantissa),
+        2 * (exponent - sigma_exponent),
+        f"log-det ratio at sigma={sigma:g}: a singular value of B / sigma passes about 1.3e154 "
+        "and its square overflows double precision",
     )
     return float(np.sum(np.log1p(ratios)) / math.log(n))
 
@@ -214,7 +202,7 @@ def classify_regime(srank: float, n: int) -> RegimeLabel:
 
 @blas.single_threaded()
 def relative_signal_error(b_hat, b_true) -> float:
-    """||B_hat - B_true||_F / ||B_true||_F, each norm over a power of two so no square overflows.
+    """||B_hat - B_true||_F / ||B_true||_F, each norm by the scaling rule.
 
     B_hat - B_true overflows only where an entry reaches 2**1023; both are
     halved first then, which is exact for entries that large, so the
@@ -225,13 +213,14 @@ def relative_signal_error(b_hat, b_true) -> float:
     true = require_matrix(b_true, "b_true")
     if hat.shape != true.shape:
         raise ValueError(f"shape mismatch: {hat.shape} vs {true.shape}")
-    half = 2.0 if max(np.abs(hat).max(), np.abs(true).max()) >= 2.0**1023 else 1.0
-    diff = hat / half - true / half
-    diff_scale, true_scale = _power_of_two_scale(diff), _power_of_two_scale(true)
-    denom = float(np.linalg.norm(true / true_scale))
+    halved = max(np.abs(hat).max(), np.abs(true).max()) >= 2.0**1023
+    diff, diff_exponent = _mantissa(hat / 2.0 - true / 2.0 if halved else hat - true)
+    true_scaled, true_exponent = _mantissa(true)
+    denom = float(np.linalg.norm(true_scaled))
     if denom == 0.0:
         raise ValueError("b_true must be nonzero")
-    return require_finite(
-        lambda: float(np.linalg.norm(diff / diff_scale)) / denom * (diff_scale / true_scale * half),
+    return _ldexp_finite(
+        float(np.linalg.norm(diff)) / denom,
+        diff_exponent - true_exponent + halved,
         "relative signal error ||B_hat - B_true||_F / ||B_true||_F overflows float64",
     )

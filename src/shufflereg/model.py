@@ -207,7 +207,7 @@ def synthesize_instance(
     b = require_matrix(b_true, "b_true")
     if b.shape != (p, m):
         raise ValueError(f"b_true has shape {b.shape}, expected ({p}, {m})")
-    if sigma < 0:
+    if not sigma >= 0:  # nan fails every comparison, so test for the valid range
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     x = sample_design_matrix(n, p, dist, seed)
     perm = sample_permutation_with_hamming_weight(n, h, seed)

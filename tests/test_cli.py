@@ -633,6 +633,27 @@ class TestErrorPath:
         assert (code, out, parsed) == (2, "", False)
         assert err.startswith("usage: ") and "unrecognized arguments: --m 5" in err
 
+    @pytest.mark.parametrize(
+        "argv,flag,kind,token",
+        [
+            (["diagnose", "--b", "b.txt", "--sigma", "1", "--n", "5_00"], "--n", "int", "5_00"),
+            (["diagnose", "--b", "b.txt", "--sigma", "1", "--n", "\u0665\u0660\u0660"], "--n", "int", "\u0665\u0660\u0660"),
+            (["diagnose", "--b", "b.txt", "--sigma", "0_5", "--n", "500"], "--sigma", "float", "0_5"),
+            (["demo-failure", "--n", "1_50", "--out", "t.csv"], "--n", "int", "1_50"),
+            (["demo-failure", "--iters", "\u0663", "--out", "t.csv"], "--iters", "int", "\u0663"),
+            (["demo-failure", "--seed", "0_1", "--out", "t.csv"], "--seed", "int", "0_1"),
+            (["simulate", "--config", "c.cfg", "--out", "s.csv", "--workers", "1_0"], "--workers", "int", "1_0"),
+            (["simulate", "--config", "c.cfg", "--out", "s.csv", "--seed", "\u0667"], "--seed", "int", "\u0667"),
+        ],
+    )
+    def test_number_flags_follow_the_file_grammar(self, tmp_path, monkeypatch, argv, flag, kind, token):
+        # int() and float() read underscores and non-ASCII digits; matrix and config files do not.
+        monkeypatch.chdir(tmp_path)
+        code, out, err, parsed = run_main(argv)
+        assert (code, out, parsed) == (2, "", False)
+        assert err.splitlines()[-1].endswith(f": error: argument {flag}: invalid {kind} value: {token!r}")
+        assert not list(tmp_path.iterdir())
+
 
 HUGE = "9" * 401
 # Per config key: values that pass validation (with n >= 12, so every h here is valid), then
@@ -750,18 +771,21 @@ def cli_argv(draw):
     if command == "simulate":
         config = st.one_of(st.builds(ConfigFile, config_bytes()), st.sampled_from([InDir("missing.txt"), InDir("dir")]))
         argv = [command, "--config", draw(config), "--out", out()]
-        for flag, values in (("--workers", [1, 3, 0, -1]), ("--seed", [0, -1, HUGE])):
+        for flag, values in (("--workers", [1, 3, 0, -1, "1_0"]), ("--seed", [0, -1, HUGE, "\u0667"])):
             value = draw(st.sampled_from([None, *values]))
             if value is not None:
                 argv += [flag, value]
         return argv
     if command == "demo-failure":
-        return [command, "--n", draw(st.one_of(st.integers(100, 150), st.integers(-5, 99), st.just("1e3"))),
-                "--iters", draw(st.integers(-1, 3)), "--seed", draw(st.sampled_from([0, -1, HUGE])),
+        return [command, "--n", draw(st.one_of(st.integers(100, 150), st.integers(-5, 99),
+                                               st.sampled_from(["1e3", "1_20", "\u0661\u0662\u0660"]))),
+                "--iters", draw(st.one_of(st.integers(-1, 3), st.just("0_1"))),
+                "--seed", draw(st.sampled_from([0, -1, HUGE, "1_0"])),
                 "--out", out()]
     return [command, "--b", path(["b.txt", "b_col.txt", "huge.txt", "zero.txt"], _BROKEN_INPUTS),
-            "--sigma", draw(valid_or_edge(["0", "1", "0.5", "1e-3"], ["-0", "-1", "nan", "inf", "1e308", "1e-308"])),
-            "--n", draw(valid_or_edge([3, 500, 10**20], [-1, 0, 2, HUGE]))]
+            "--sigma", draw(valid_or_edge(["0", "1", "0.5", "1e-3"],
+                                          ["-0", "-1", "nan", "inf", "1e308", "1e-308", "0_5", "\u0660.5"])),
+            "--n", draw(valid_or_edge([3, 500, 10**20], [-1, 0, 2, HUGE, "5_00", "\u0665\u0660\u0660"]))]
 
 
 # Its optimal assignment sum passes 1.8e308; that draw once failed the fuzz test below on a warning.

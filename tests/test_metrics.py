@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,18 @@ from shufflereg.metrics import (
     stable_rank,
 )
 from shufflereg.model import Permutation, build_canonical_signal
+
+
+LOGDET_OVERFLOW = (
+    r"^log-det ratio at sigma=\S+: a singular value of B / sigma passes about 1\.3e154 "
+    r"and its square overflows double precision$"
+)
+
+
+def log_space_singular_values(b):
+    """log of the singular values of B, from the SVD of B over a power of two, so none overflows."""
+    exponent = math.frexp(float(np.abs(b).max()))[1]
+    return np.log(np.linalg.svd(np.ldexp(b, -exponent), compute_uv=False)) + exponent * math.log(2.0)
 
 
 def svd_stable_rank(b):
@@ -202,6 +215,8 @@ class TestSnr:
             snr(np.ones((2, 2)), 0, 1.0)
         with pytest.raises(ValueError, match="sigma"):
             snr(np.ones((2, 2)), 2, -1.0)
+        with pytest.raises(ValueError, match=r"^sigma must be >= 0, got nan$"):
+            snr(np.ones((2, 2)), 2, math.nan)
 
 
 class TestLogdetRatio:
@@ -241,6 +256,58 @@ class TestLogdetRatio:
     def test_sigma_zero_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
             logdet_ratio(np.ones((2, 2)), 0.0, 10)
+
+    def test_nan_sigma_is_refused(self):
+        with pytest.raises(ValueError, match=r"^sigma must be > 0 for the log-det ratio, got nan$"):
+            logdet_ratio(np.ones((2, 2)), math.nan, 10)
+
+    def test_gram_matrix_below_the_double_range(self):
+        # B^T B has entries near 1e-340, which underflow; (B / sigma)^T (B / sigma) does not.
+        value = logdet_ratio(np.diag([1e-170, 2e-170]), 1e-40, 100)
+        assert value == pytest.approx((1e-260 + 4e-260) / math.log(100), rel=1e-14, abs=0.0)
+
+    def test_gram_matrix_above_the_double_range(self):
+        # B^T B has entries near 1e400; the ratios 1e200 and 1e198 are in range.
+        value = logdet_ratio(np.diag([1e200, 1e199]), 1e100, 500)
+        assert value == pytest.approx((math.log1p(1e200) + math.log1p(1e198)) / math.log(500), rel=1e-15)
+
+    def test_squared_ratio_past_the_double_range_names_b_over_sigma(self):
+        # Singular values of B / sigma near 1e308: their squares overflow, and eigvalsh once
+        # failed to converge on the overflowed Gram matrix of B itself.
+        b = np.random.default_rng(0).standard_normal((6, 7)) * 2.7e307
+        with pytest.raises(ValueError, match=LOGDET_OVERFLOW):
+            logdet_ratio(b, 0.5, 500)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        singular_values=st.lists(st.floats(1.0, 8.0), min_size=8, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+        b_exponent=st.integers(-307, 307),
+        data=st.data(),
+    )
+    def test_full_rank_matches_log_space_svd_at_any_scale(
+        self, shape, singular_values, seed, b_exponent, data
+    ):
+        # B / sigma spans about 1e-150 to 1e161: every squared ratio stays above the subnormal
+        # range, where a result keeps few digits, and the largest pass the double range.
+        sigma_exponent = data.draw(st.integers(max(-307, b_exponent - 160), min(307, b_exponent + 150)))
+        rng = np.random.default_rng(seed)
+        k = min(shape)
+        left = np.linalg.qr(rng.standard_normal((shape[0], k)))[0]
+        right = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
+        b = (left * singular_values[:k]) @ right.T * 10.0**b_exponent
+        sigma = 10.0**sigma_exponent
+        n = 100
+        log_ratios = log_space_singular_values(b) - math.log(sigma)
+        try:
+            value = logdet_ratio(b, sigma, n)
+        except ValueError as err:
+            assert re.match(LOGDET_OVERFLOW, str(err))
+            assert log_ratios.max() > math.log(1.3e154)
+            return
+        expected = float(np.sum(np.logaddexp(0.0, 2.0 * log_ratios)) / math.log(n))
+        assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 class TestMinimaxThreshold:

@@ -259,6 +259,11 @@ class TestSynthesizeInstance:
         with pytest.raises(ValueError, match="sigma"):
             synthesize_instance(10, 2, 2, 0, GAUSSIAN, np.ones((2, 2)), -1.0, seed=0)
 
+    def test_nan_sigma_rejected(self):
+        # nan < 0 is False, so a sign test alone once returned the noiseless Y.
+        with pytest.raises(ValueError, match=r"^sigma must be >= 0, got nan$"):
+            synthesize_instance(10, 2, 2, 0, GAUSSIAN, np.ones((2, 2)), math.nan, seed=0)
+
 
 class TestPublicSurface:
     REMOVED = {
