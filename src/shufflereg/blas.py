@@ -5,7 +5,7 @@ numpy and scipy each bundle their own OpenBLAS: numpy's ILP64 build exports
 ``scipy_openblas_{get,set}_num_threads``. ``single_threaded()`` sets every
 loaded build to one thread and restores each build's previous count on exit;
 it also works as a decorator. Every public function of ``estimators``,
-``lap_maximize``, instance synthesis, the Gram eigenvalues and relative signal
+``lap_maximize``, instance synthesis, the singular values and relative signal
 error of ``metrics`` and whole sweeps run inside it, because the thread
 count changes the roundoff of QR and matrix products, so their output would
 otherwise depend on the machine's core count; a sweep also keeps BLAS threads

@@ -47,13 +47,14 @@ def hamming_distance(a: Permutation, b: Permutation) -> int:
 
 
 @blas.single_threaded()
-def _gram_eigenvalues(arr: np.ndarray) -> np.ndarray:
-    """Squared singular values, ascending: eigenvalues of the smaller of B^T B and B B^T.
+def _singular_values(arr: np.ndarray) -> np.ndarray:
+    """Singular values, descending; those at or below numpy's rank cut max(p, m) * eps * s_1 read 0.
 
     OpenBLAS runs at one thread here, so the values do not depend on the core count.
     """
-    side = arr.T @ arr if arr.shape[1] <= arr.shape[0] else arr @ arr.T
-    return np.clip(np.linalg.eigvalsh(side), 0.0, None)
+    svals = np.linalg.svd(arr, compute_uv=False)
+    svals[svals <= max(arr.shape) * np.finfo(np.float64).eps * svals[0]] = 0.0
+    return svals
 
 
 def _mantissa(arr: np.ndarray) -> tuple[np.ndarray, int]:
@@ -78,13 +79,19 @@ def frobenius_norm(arr: np.ndarray, what: str) -> float:
 
 
 def stable_rank(b) -> float:
-    """||B||_F^2 / ||B||_op^2, both of ``_mantissa(B)``. Lies in [1, rank(B)] for nonzero B."""
-    scaled, _ = _mantissa(require_matrix(b, "b"))
-    fro_sq = float(np.sum(scaled * scaled))
-    if fro_sq == 0.0:
+    """sum_i s_i^2 / s_1^2 over the singular values of ``_mantissa(B)``; in [1, rank(B)]."""
+    squares = _singular_values(_mantissa(require_matrix(b, "b"))[0]) ** 2
+    if squares[0] == 0.0:
         raise ValueError("stable rank is undefined for the zero matrix")
-    # The norms of a rank-one B agree, and rounding can leave their ratio an ulp below 1.
-    return max(1.0, fro_sq / float(_gram_eigenvalues(scaled)[-1]))
+    return float(np.sum(squares) / squares[0])
+
+
+def _times_count(m: int, value: float) -> float:
+    """m * value for the column count m, or ValueError when m itself is past the double range."""
+    try:
+        return m * value
+    except OverflowError:
+        raise ValueError(f"m of about 1e{math.log10(m):.0f} overflows double precision") from None
 
 
 def snr(b, m: int, sigma: float) -> float:
@@ -102,10 +109,7 @@ def snr(b, m: int, sigma: float) -> float:
         return NOISELESS
     total = float(np.sum(scaled * scaled))
     mantissa, sigma_exponent = math.frexp(sigma)
-    try:
-        denominator = m * mantissa * mantissa
-    except OverflowError:  # m itself is past the double range
-        raise ValueError(f"m of about 1e{math.log10(m):.0f} overflows double precision") from None
+    denominator = _times_count(m, mantissa) * mantissa
     what = f"snr at sigma={sigma:g} {_OVERFLOWS}"
     return _ldexp_finite(total / denominator, 2 * (exponent - sigma_exponent), what)
 
@@ -124,7 +128,7 @@ def sigma_for_snr(b, m: int, target_snr: float) -> float:
     mantissa, snr_exponent = math.frexp(target_snr)
     half, odd = divmod(2 * exponent - snr_exponent, 2)
     what = f"noise level for snr {target_snr:g}"
-    root = math.sqrt(math.ldexp(total / (m * mantissa), odd))
+    root = math.sqrt(math.ldexp(total / _times_count(m, mantissa), odd))
     sigma = _ldexp_finite(root, half, f"{what} {_OVERFLOWS}")
     if sigma == 0.0 and math.isfinite(target_snr):
         raise ValueError(f"{what} underflows double precision (below about 5e-324)")
@@ -132,8 +136,9 @@ def sigma_for_snr(b, m: int, target_snr: float) -> float:
 
 
 def logdet_ratio(b, sigma: float, n: int) -> float:
-    """logdet(I + B^T B / sigma^2) / log n via eigenvalues of the Gram matrix of ``_mantissa(B)``.
+    """sum_i log1p(s_i^2 / sigma^2) / log n = logdet(I + B^T B / sigma^2) / log n.
 
+    The s_i come from ``_singular_values`` of ``_mantissa(B)``, so B counts only its rank.
     ValueError only when a singular value of B / sigma passes about 1.3e154.
     """
     if not sigma > 0:  # nan fails every comparison, so test for the valid range
@@ -143,7 +148,7 @@ def logdet_ratio(b, sigma: float, n: int) -> float:
     scaled, exponent = _mantissa(require_matrix(b, "b"))
     mantissa, sigma_exponent = math.frexp(sigma)
     ratios = _ldexp_finite(
-        _gram_eigenvalues(scaled) / (mantissa * mantissa),
+        _singular_values(scaled) ** 2 / (mantissa * mantissa),
         2 * (exponent - sigma_exponent),
         f"log-det ratio at sigma={sigma:g}: a singular value of B / sigma passes about 1.3e154 "
         "and its square overflows double precision",

@@ -495,6 +495,18 @@ class TestDiagnose:
         assert float(values["stable_rank"]) == 1.25
         assert "nan" not in out
 
+    def test_rank_one_signal_counts_one_singular_value(self, tmp_path, capsys):
+        # The roundoff singular values of a rank-one B, about eps * ||B||, are not signal: the
+        # log-det is log1p(||B||^2 / sigma^2) alone. Eigenvalues of B^T B would give 426.67.
+        b_path = tmp_path / "b.txt"
+        v = np.array([0.3, 0.7, 1.1])
+        write_matrix(np.outer(v, v), b_path)
+        code = main(["diagnose", "--b", str(b_path), "--sigma", "1e-50", "--n", "500"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "logdet = 231.422940539\n" in out
+        assert "stable_rank = 1\n" in out
+
     def test_negative_sigma_is_usage_error(self, tmp_path):
         b_path = tmp_path / "b.txt"
         write_matrix(build_canonical_signal(2, 2, 1.0), b_path)

@@ -31,10 +31,21 @@ LOGDET_OVERFLOW = (
 )
 
 
-def log_space_singular_values(b):
-    """log of the singular values of B, from the SVD of B over a power of two, so none overflows."""
+def assert_logdet_matches_log_space_svd(b, sigma, count=None):
+    """logdet_ratio(B, sigma, 100) against a log-space sum over the ``count`` largest singular
+    values of B, from the SVD of B over a power of two; or the named error, when one of
+    those B / sigma ratios passes about 1.3e154."""
     exponent = math.frexp(float(np.abs(b).max()))[1]
-    return np.log(np.linalg.svd(np.ldexp(b, -exponent), compute_uv=False)) + exponent * math.log(2.0)
+    svals = np.linalg.svd(np.ldexp(b, -exponent), compute_uv=False)[:count]
+    log_ratios = np.log(svals) + exponent * math.log(2.0) - math.log(sigma)
+    try:
+        value = logdet_ratio(b, sigma, 100)
+    except ValueError as err:
+        assert re.match(LOGDET_OVERFLOW, str(err))
+        assert log_ratios.max() > math.log(1.3e154)
+        return
+    expected = float(np.sum(np.logaddexp(0.0, 2.0 * log_ratios)) / math.log(100))
+    assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def svd_stable_rank(b):
@@ -120,6 +131,13 @@ class TestStableRank:
         sr = stable_rank(b)
         assert 1.0 <= sr <= 1.0 + 1e-12
 
+    def test_rank_one_outer_product_is_exactly_one(self):
+        # Its trailing singular values are roundoff, about eps * s_1, and count as 0, so the ratio is 1
+        # exactly; with the roundoff eigenvalue of B^T B it reads 1.0000000000000002.
+        rng = np.random.default_rng(0)
+        u, v = rng.standard_normal(5), rng.standard_normal(5)
+        assert stable_rank(np.outer(u, v)) == 1.0
+
     def test_gaussian_column_that_rounded_below_one(self):
         # An eigvalsh top eigenvalue an ulp above ||b||_F^2 once gave 0.9999999999999999.
         b = np.random.default_rng(0).standard_normal((11, 1))
@@ -202,6 +220,13 @@ class TestSnr:
         assert str(err.value) == "m of about 1e400 overflows double precision"
         assert snr(np.ones((2, 2)), 10**300, 1.0) == 4.0 / 10**300
 
+    def test_inverse_count_past_double_range_is_value_error(self):
+        # sigma_for_snr divides by m as snr does, so it refuses the same m with the same message.
+        with pytest.raises(ValueError) as err:
+            sigma_for_snr(np.eye(2), 10**400, 1.0)
+        assert str(err.value) == "m of about 1e400 overflows double precision"
+        assert sigma_for_snr(np.eye(2), 10**300, 1e-300) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
     @pytest.mark.parametrize("b,m,sigma", [([[1.0]], 1, 1e-200), ([[1e154, 0], [0, 1e154]], 1, 1.0)])
     def test_overflow_is_rejected(self, b, m, sigma):
         with pytest.raises(ValueError, match="overflows double precision"):
@@ -271,6 +296,16 @@ class TestLogdetRatio:
         value = logdet_ratio(np.diag([1e200, 1e199]), 1e100, 500)
         assert value == pytest.approx((math.log1p(1e200) + math.log1p(1e198)) / math.log(500), rel=1e-15)
 
+    def test_rank_two_signal_far_above_the_noise(self):
+        # Singular values 1 and 1e-4 at sigma = 1e-9. B^T B squares the condition number to 1e8,
+        # and its roundoff eigenvalue, about eps, would add a third term (rel error 2.3e-2).
+        rng = np.random.default_rng(1)
+        q1 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        b = q1[:, :2] @ np.diag([1.0, 1e-4]) @ q2[:, :2].T
+        expected = (math.log1p(1e18) + math.log1p(1e10)) / math.log(500)
+        assert logdet_ratio(b, 1e-9, 500) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_squared_ratio_past_the_double_range_names_b_over_sigma(self):
         # Singular values of B / sigma near 1e308: their squares overflow, and eigvalsh once
         # failed to converge on the overflowed Gram matrix of B itself.
@@ -297,17 +332,31 @@ class TestLogdetRatio:
         left = np.linalg.qr(rng.standard_normal((shape[0], k)))[0]
         right = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
         b = (left * singular_values[:k]) @ right.T * 10.0**b_exponent
-        sigma = 10.0**sigma_exponent
-        n = 100
-        log_ratios = log_space_singular_values(b) - math.log(sigma)
-        try:
-            value = logdet_ratio(b, sigma, n)
-        except ValueError as err:
-            assert re.match(LOGDET_OVERFLOW, str(err))
-            assert log_ratios.max() > math.log(1.3e154)
-            return
-        expected = float(np.sum(np.logaddexp(0.0, 2.0 * log_ratios)) / math.log(n))
-        assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
+        assert_logdet_matches_log_space_svd(b, 10.0**sigma_exponent)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(2, 8), st.integers(2, 8)),
+        singular_values=st.lists(
+            st.floats(1e-6, 1.0, exclude_min=True), min_size=6, max_size=6
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        b_exponent=st.integers(-150, 150),
+        data=st.data(),
+    )
+    def test_rank_deficient_counts_only_its_rank(
+        self, shape, singular_values, seed, b_exponent, data
+    ):
+        # A rank-r product, r < min(p, m), with s_r / s_1 above 1e-6: its roundoff singular
+        # values are not signal, so the log-det sums over the top r values alone. The squared
+        # ratios stay above the subnormal range, and the largest pass the double range.
+        rank = data.draw(st.integers(1, min(shape) - 1))
+        sigma_exponent = data.draw(st.integers(max(-307, b_exponent - 160), b_exponent + 140))
+        rng = np.random.default_rng(seed)
+        left = np.linalg.qr(rng.standard_normal((shape[0], rank)))[0]
+        right = np.linalg.qr(rng.standard_normal((shape[1], rank)))[0]
+        b = (left * ([1.0] + singular_values[: rank - 1])) @ right.T * 10.0**b_exponent
+        assert_logdet_matches_log_space_svd(b, 10.0**sigma_exponent, rank)
 
 
 class TestMinimaxThreshold:

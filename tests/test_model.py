@@ -281,6 +281,16 @@ class TestPublicSurface:
         exec("from shufflereg import *", namespace)
         assert set(shufflereg.__all__) <= namespace.keys()
 
+    # Only synthesize_instance and tests call the samplers, so they are model's names alone.
+    # read_permutation stays exported: it is the reader of the documented permutation format.
+    MODEL_ONLY = ["sample_design_matrix", "sample_permutation_with_hamming_weight"]
+
+    def test_samplers_are_not_top_level_names(self):
+        for name in self.MODEL_ONLY:
+            assert name not in shufflereg.__all__
+            assert not hasattr(shufflereg, name), name
+            assert callable(getattr(shufflereg.model, name)), f"model.{name}"
+
     def test_removed_names_are_not_exported(self):
         for module, names in self.REMOVED.items():
             for name in names:
