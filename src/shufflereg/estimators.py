@@ -1,12 +1,13 @@
 """Estimators for the row-shuffled linear model.
 
 Every estimator is built on one match-and-fit step: an assignment solve on a
-matching cost C = L R^T, then a least-squares solve on the matched rows.
+matching cost C = Y (X D)^T for a direction D, then a least-squares solve on
+the matched rows.
 
-* ``one_step_estimate`` — the step on the cost Y Y^T X X^T. Tuning-free: needs
-  neither the noise level nor the number of displaced rows.
-* ``oracle_permutation_estimate`` — the step on the cost Y (X B)^T for a
-  known matching direction B (invariant to positive rescaling of it).
+* ``one_step_estimate`` — the step with D = X^T Y, so C = Y Y^T X X^T.
+  Tuning-free: needs neither the noise level nor the number of displaced rows.
+* ``oracle_permutation_estimate`` — the step with a known matching direction
+  D = B (invariant to positive rescaling of it).
 * ``least_squares_signal`` — signal recovery for a known permutation using an
   orthogonal factorization; the normal equations are never formed.
 * ``alternating_minimization`` — diagnostic baseline: each iteration is the
@@ -109,25 +110,26 @@ def least_squares_signal(x, y, perm: Permutation) -> np.ndarray:
 
 @blas.single_threaded()
 def build_onestep_cost(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (Y (Y^T X), X) of the n-by-n matching cost C = Y Y^T X X^T.
+    """Factors (Y, X (X^T Y)) of the n-by-n matching cost C = Y Y^T X X^T.
 
-    C equals left @ right.T for the returned pair; ``lap_maximize`` takes the
-    pair and forms C itself, so no caller holds a second n-by-n copy. Raises
-    ValueError when finite inputs give a non-finite Y (Y^T X).
+    C equals left @ right.T for the returned pair, the oracle's cost with the
+    direction B = X^T Y; ``lap_maximize`` takes the pair and forms C itself,
+    so no caller holds a second n-by-n copy. Raises ValueError when finite
+    inputs give a non-finite X (X^T Y).
     """
     xa, ya = _validate_pair(x, y)
-    left = require_finite(
-        lambda: ya @ (ya.T @ xa), "one-step cost factor Y (Y^T X) overflows float64"
+    direction = require_finite(
+        lambda: xa @ (xa.T @ ya), "one-step matching direction X X^T Y overflows float64"
     )
-    return left, xa
+    return ya, direction
 
 
-def _match_and_fit(xa: np.ndarray, y, left, right) -> EstimationResult:
-    """Assignment solve on C = left @ right.T, then least squares on the matched rows."""
-    assignment = lap_maximize(left, right)
+def _match_and_fit(x, ya: np.ndarray, direction: np.ndarray) -> EstimationResult:
+    """Assignment solve on C = Y (X D)^T, given direction = X D, then least squares."""
+    assignment = lap_maximize(ya, direction)
     return EstimationResult(
         perm_hat=assignment.perm,
-        b_hat=least_squares_signal(xa, y, assignment.perm),
+        b_hat=least_squares_signal(x, ya, assignment.perm),
         objective=assignment.objective,
         iterations=1,
     )
@@ -136,8 +138,7 @@ def _match_and_fit(xa: np.ndarray, y, left, right) -> EstimationResult:
 @blas.single_threaded()
 def one_step_estimate(x, y) -> EstimationResult:
     """Single assignment solve on Y Y^T X X^T, then one least-squares solve."""
-    left, xa = build_onestep_cost(x, y)
-    return _match_and_fit(xa, y, left, xa)
+    return _match_and_fit(x, *build_onestep_cost(x, y))
 
 
 @blas.single_threaded()
@@ -150,7 +151,7 @@ def oracle_permutation_estimate(x, y, b_true) -> EstimationResult:
     if ba.shape[1] != ya.shape[1]:
         raise ValueError(f"signal has {ba.shape[1]} columns but y has {ya.shape[1]}")
     direction = require_finite(lambda: xa @ ba, "oracle matching direction X B overflows float64")
-    return _match_and_fit(xa, ya, ya, direction)
+    return _match_and_fit(xa, ya, direction)
 
 
 @blas.single_threaded()
@@ -165,9 +166,10 @@ def alternating_minimization(
     """Alternate assignment and least-squares steps starting from B = X^T Y.
 
     Each iteration is the oracle step with the previous estimate as the
-    matching direction; the start X^T Y makes iteration 0 the one-step
-    estimate. Each half-step minimizes the shared residual ||Y - P X B||_F,
-    which is therefore non-increasing along the trace. Stops after
+    matching direction. The start X (X^T Y) comes from ``build_onestep_cost``,
+    so iteration 0 is the one-step estimate bit for bit: the same permutation,
+    B_hat and objective. Each half-step minimizes the shared residual
+    ||Y - P X B||_F, which is therefore non-increasing along the trace. Stops after
     ``max_iters`` further iterations, or earlier once the permutation repeats
     (a fixed point) unless ``stop_on_repeat`` is false. When ``ref_perm`` is
     given, each record carries the Hamming distance to it.
@@ -175,14 +177,11 @@ def alternating_minimization(
     xa, ya = _validate_pair(x, y)
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    direction = require_finite(
-        lambda: xa @ (xa.T @ ya),
-        "alternating-minimization start direction X X^T Y overflows float64",
-    )
+    _, direction = build_onestep_cost(xa, ya)
     overflow = "alternating-minimization residual Y - P X B overflows float64"
     trace: list[AltMinRecord] = []
     for t in range(max_iters + 1):
-        est = _match_and_fit(xa, ya, ya, direction)
+        est = _match_and_fit(xa, ya, direction)
         perm = est.perm_hat
         # X B_hat is this iteration's fit and the next iteration's matching direction.
         direction = require_finite(lambda: xa @ est.b_hat, overflow)

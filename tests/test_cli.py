@@ -137,21 +137,21 @@ class TestSolve:
     def test_overflowing_cost_factor_fails_without_warning(self, tmp_path):
         rng = np.random.default_rng(0)
         x_path, y_path = tmp_path / "x.txt", tmp_path / "y.txt"
-        # Finite inputs: Y^T X is about 1e221, Y (Y^T X) about 1e331.
+        # Finite inputs: X^T Y is about 1e221, X (X^T Y) about 1e331.
         write_matrix(rng.standard_normal((20, 2)) * 1e110, x_path)
         write_matrix(rng.standard_normal((20, 2)) * 1e110, y_path)
         out = run_cli("solve", "--x", x_path, "--y", y_path,
                       "--out-perm", tmp_path / "p.txt", "--out-b", tmp_path / "b.txt")
         assert out.returncode == 1
-        assert out.stderr == "error: one-step cost factor Y (Y^T X) overflows float64\n"
+        assert out.stderr == "error: one-step matching direction X X^T Y overflows float64\n"
         assert "Warning" not in out.stderr
 
     def test_overflowing_cost_product_fails_without_warning(self, tmp_path):
         rng = np.random.default_rng(0)
         x_path, y_path = tmp_path / "x.txt", tmp_path / "y.txt"
-        # Y (Y^T X) is about 1e155 and X about 1e154, so only C = Y Y^T X X^T overflows.
-        write_matrix(rng.standard_normal((20, 2)) * 1e154, x_path)
-        write_matrix(rng.standard_normal((20, 2)), y_path)
+        # X (X^T Y) is about 1e161 and Y about 1e150, so only C = Y Y^T X X^T overflows.
+        write_matrix(rng.standard_normal((20, 2)) * 1e5, x_path)
+        write_matrix(rng.standard_normal((20, 2)) * 1e150, y_path)
         out = run_cli("solve", "--x", x_path, "--y", y_path,
                       "--out-perm", tmp_path / "p.txt", "--out-b", tmp_path / "b.txt")
         assert out.returncode == 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shufflereg import instrument
+from shufflereg import blas, instrument
 from shufflereg.estimators import (
     RankDeficiencyError,
     alternating_minimization,
@@ -18,7 +18,7 @@ from shufflereg.estimators import (
     one_step_estimate,
     oracle_permutation_estimate,
 )
-from shufflereg.metrics import hamming_distance, relative_signal_error
+from shufflereg.metrics import hamming_distance, relative_signal_error, sigma_for_snr
 from shufflereg.model import (
     DistributionKind,
     Permutation,
@@ -55,7 +55,7 @@ class TestBuildOnestepCost:
             dense = (y @ y.T) @ (x @ x.T)
             scale = np.abs(dense).max()
             left, right = build_onestep_cost(x, y)
-            assert left.shape == right.shape == (n, p)
+            assert left.shape == right.shape == (n, m)
             assert np.abs(left @ right.T - dense).max() <= 1e-12 * scale
 
     def test_row_mismatch_rejected(self):
@@ -320,6 +320,31 @@ class TestAlternatingMinimization:
         one_step = one_step_estimate(inst.x, inst.y)
         alt = alternating_minimization(inst.x, inst.y, max_iters=4)
         assert alt.trace[0].perm == one_step.perm_hat
+
+    @pytest.mark.parametrize(
+        "dist,n,p,m",
+        [
+            (DistributionKind.RADEMACHER, 120, 6, 1),
+            (DistributionKind.RADEMACHER, 200, 10, 4),
+            (GAUSSIAN, 40, 3, 5),
+        ],
+    )
+    def test_iteration_zero_is_the_one_step_estimate_bit_for_bit(self, dist, n, p, m):
+        # All three match on the one cost Y (X X^T Y)^T. Above n = 64 a Rademacher
+        # cost has exactly tied optima, and scipy's choice among them follows the
+        # cost's bits, so a second rounding of the same cost could pick another one.
+        b = build_canonical_signal(p, m, 1.0)
+        sigma = sigma_for_snr(b, m, 3.0)
+        for seed in range(10):
+            inst = synthesize_instance(n, p, m, n // 2, dist, b, sigma, seed)
+            one_step = one_step_estimate(inst.x, inst.y)
+            alt = alternating_minimization(inst.x, inst.y, max_iters=0)
+            with blas.single_threaded():
+                oracle = oracle_permutation_estimate(inst.x, inst.y, inst.x.T @ inst.y)
+            for est in (alt, oracle):
+                assert est.perm_hat == one_step.perm_hat
+                assert est.b_hat.tobytes() == one_step.b_hat.tobytes()
+                assert np.float64(est.objective).tobytes() == np.float64(one_step.objective).tobytes()
 
     def test_trace_bookkeeping_without_early_stop(self):
         b = build_canonical_signal(3, 2, 1.0)

@@ -14,6 +14,7 @@ from shufflereg.cli import main
 from shufflereg.estimators import (
     alternating_minimization,
     least_squares_signal,
+    one_step_estimate,
     oracle_permutation_estimate,
 )
 from shufflereg.lap import lap_maximize
@@ -25,7 +26,7 @@ from oracles import assignment_objective, dense, lap_brute_force
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 OBJECTIVE = r"^assignment objective sum_i C\[i, pi\(i\)\] overflows float64"
-START = r"^alternating-minimization start direction X X\^T Y overflows float64$"
+START = r"^one-step matching direction X X\^T Y overflows float64$"
 
 
 def pair(n=6, p=3, m=2, seed=0):
@@ -111,6 +112,18 @@ class TestEstimators:
         with pytest.raises(ValueError, match=START):
             alternating_minimization(x, y, max_iters=0)
 
+    @pytest.mark.parametrize(
+        "estimate",
+        [one_step_estimate, lambda x, y: alternating_minimization(x, y, max_iters=0)],
+        ids=["one_step", "alt_min"],
+    )
+    def test_one_step_and_alternating_minimization_share_the_start(self, estimate):
+        # X^T Y is about 1e100 and Y Y^T X about 1e-50, but X X^T Y is about 1e350: both
+        # estimators match on the direction X X^T Y, so both refuse the pair.
+        x, y = pair(n=20, p=2, m=2)
+        with pytest.raises(ValueError, match=START):
+            estimate(x * 1e250, y * 1e-150)
+
     def test_least_squares_signal(self):
         x, y = pair(n=40, p=3, m=3)
         with pytest.raises(ValueError, match="^least-squares signal estimate B_hat overflows float64"):
@@ -139,7 +152,8 @@ class TestMetrics:
 
 
 def test_simulate_with_an_overflowing_objective_reports_failed_trials(tmp_path, capsys):
-    # sigma = 1e154: one trial's cost factor overflows, the other's optimal assignment sum.
+    # sigma = 1e154: one trial's cost product Y Y^T X X^T overflows, the other's optimal
+    # assignment sum.
     config = tmp_path / "sweep.cfg"
     config.write_text("n = 30\np = 1\nm = 1\nh = 0\ntrials = 2\nsnr_grid = 1e-308\n")
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sweep.csv")]) == 0
@@ -147,5 +161,6 @@ def test_simulate_with_an_overflowing_objective_reports_failed_trials(tmp_path, 
     assert captured.out == ""
     assert captured.err == (
         "snr=1e-308 sigma=1e+154 recovery_rate=0 mean_hamming=nan trials=2 failures=2 "
-        "first_error=one-step cost factor Y (Y^T X) overflows float64\n"
+        "first_error=cost matrix left @ right.T has NaN or infinite entries: the product of "
+        "finite factors overflows float64 (above about 1.8e308); rescale the inputs\n"
     )
