@@ -7,7 +7,7 @@ loaded build to one thread and restores each build's previous count on exit;
 it also works as a decorator. Every public function of ``estimators``,
 ``lap_maximize``, instance synthesis, the singular values and relative signal
 error of ``metrics`` and whole sweeps run inside it, because the thread
-count changes the roundoff of QR and matrix products, so their output would
+count changes the roundoff of lstsq and matrix products, so their output would
 otherwise depend on the machine's core count; a sweep also keeps BLAS threads
 from competing with its own trial workers. The setting is process-wide:
 other threads that call BLAS meanwhile are single-threaded too.

@@ -8,8 +8,8 @@ the matched rows.
   Tuning-free: needs neither the noise level nor the number of displaced rows.
 * ``oracle_permutation_estimate`` — the step with a known matching direction
   D = B (invariant to positive rescaling of it).
-* ``least_squares_signal`` — signal recovery for a known permutation using an
-  orthogonal factorization; the normal equations are never formed.
+* ``least_squares_signal`` — signal recovery for a known permutation with
+  numpy's SVD-based least-squares driver; the normal equations are never formed.
 * ``alternating_minimization`` — diagnostic baseline: each iteration is the
   match-and-fit step on the oracle's cost Y (X B)^T with the previous
   estimate as B, whose X B is also that estimate's residual fit. Reports a
@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import blas, instrument
 from .lap import lap_maximize
@@ -75,36 +74,29 @@ def _validate_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xa, ya
 
 
-def _qr_full_rank(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Economic QR of x, raising RankDeficiencyError below the spectral cutoff."""
-    q, r = np.linalg.qr(x, mode="reduced")
-    # Singular values of R equal those of x since Q has orthonormal columns.
-    svals = np.linalg.svd(r, compute_uv=False)
-    if svals[-1] < _RANK_RTOL * svals[0]:
-        cond = np.inf if svals[-1] == 0 else svals[0] / svals[-1]
-        raise RankDeficiencyError(
-            f"design matrix is numerically rank deficient "
-            f"(condition estimate {cond:.3e}, cutoff {1 / _RANK_RTOL:.1e})"
-        )
-    return q, r
-
-
 @blas.single_threaded()
 def least_squares_signal(x, y, perm: Permutation) -> np.ndarray:
-    """argmin_B || inverse-permuted Y - X B ||_F via QR, columnwise back-substitution."""
+    """argmin_B || inverse-permuted Y - X B ||_F by numpy's SVD-based ``lstsq`` (gelsd).
+
+    Its singular values of X decide the rank check; a zero X is rank deficient too.
+    """
     xa, ya = _validate_pair(x, y)
     n = xa.shape[0]
     if len(perm) != n:
         raise ValueError(f"permutation length {len(perm)} != n={n}")
     instrument.record("ls_solve")
-    q, r = _qr_full_rank(xa)
     # Row perm(i) of the aligned Y is row i of Y: the inverse permutation as one scatter.
     aligned = np.empty_like(ya)
     aligned[perm.indices] = ya
-    # Both operands come from the validated x and y, so scipy's finiteness scans are skipped.
+    b_hat, _, _, svals = np.linalg.lstsq(xa, aligned, rcond=None)
+    if svals[-1] == 0 or svals[-1] < _RANK_RTOL * svals[0]:
+        cond = np.inf if svals[-1] == 0 else svals[0] / svals[-1]
+        raise RankDeficiencyError(
+            f"design matrix is numerically rank deficient "
+            f"(condition estimate {cond:.3e}, cutoff {1 / _RANK_RTOL:.1e})"
+        )
     return require_finite(
-        lambda: solve_triangular(r, q.T @ aligned, lower=False, check_finite=False),
-        "least-squares signal estimate B_hat overflows float64; rescale x or y",
+        lambda: b_hat, "least-squares signal estimate B_hat overflows float64; rescale x or y"
     )
 
 
@@ -126,6 +118,9 @@ def build_onestep_cost(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def _match_and_fit(x, ya: np.ndarray, direction: np.ndarray) -> EstimationResult:
     """Assignment solve on C = Y (X D)^T, given direction = X D, then least squares."""
+    # With no normal float64 entry in X D, C is zero up to subnormals and every matching ties.
+    if max(direction.max(), -direction.min()) < np.finfo(np.float64).tiny:
+        raise ValueError("matching direction X D is zero or below about 2.2e-308 in every entry")
     assignment = lap_maximize(ya, direction)
     return EstimationResult(
         perm_hat=assignment.perm,

@@ -110,7 +110,7 @@ def test_nothing_found_is_a_no_op(builds, monkeypatch):
 
 
 def test_csv_independent_of_caller_thread_count(builds):
-    # At n=500, p=m=50 the least-squares QR and products are large enough for
+    # At n=500, p=m=50 the least-squares solve and products are large enough for
     # OpenBLAS to split across threads, which changes their roundoff.
     cfg = ExperimentConfig(
         n=500, p=50, m=50, h=50, snr_grid=(NOISELESS,), trials=2, master_seed=1
@@ -168,7 +168,7 @@ def test_entry_points_see_one_thread_and_restore_the_callers(builds, monkeypatch
     # The calls inside the entry points that reach BLAS, LAPACK or the assignment solver,
     # and the estimators' input checks, which run just before their `@` products.
     spy(shufflereg.lap, "linear_sum_assignment")
-    spy(np.linalg, "qr")
+    spy(np.linalg, "lstsq")
     spy(np.linalg, "svd")
     spy(np.linalg, "norm")
     spy(model, "sample_design_matrix")
@@ -181,7 +181,7 @@ def test_entry_points_see_one_thread_and_restore_the_callers(builds, monkeypatch
 
 
 def test_estimates_independent_of_caller_thread_count(builds):
-    # At n=500, p=m=50 the QR splits across OpenBLAS threads when it may, which
+    # At n=500, p=m=50 the least-squares solve splits across OpenBLAS threads when it may, which
     # changes its roundoff; the estimators pin one thread, so the bytes agree.
     inst = instance(n=500, p=50, m=50)
     outputs = set()

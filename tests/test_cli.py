@@ -174,6 +174,21 @@ class TestSolve:
         )
         assert not out_perm.exists() and not out_b.exists()
 
+    def test_underflowing_matching_direction_writes_no_output(self, tmp_path):
+        # X of about 1e-175 and Y of about 1e25: X X^T Y is about 1e-325 and rounds to zero.
+        rng = np.random.default_rng(0)
+        x_path, y_path = tmp_path / "x.txt", tmp_path / "y.txt"
+        write_matrix(rng.standard_normal((20, 2)) * 1e-175, x_path)
+        write_matrix(rng.standard_normal((20, 2)) * 1e25, y_path)
+        out_perm, out_b = tmp_path / "p.txt", tmp_path / "b.txt"
+        out = run_cli("solve", "--x", x_path, "--y", y_path, "--out-perm", out_perm, "--out-b", out_b)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == (
+            "error: matching direction X D is zero or below about 2.2e-308 in every entry\n"
+        )
+        assert not out_perm.exists() and not out_b.exists()
+
     def test_unwritable_signal_file_leaves_no_permutation_file(self, tmp_path):
         _, x_path, y_path = write_instance(tmp_path)
         out_perm, out_b = tmp_path / "p.txt", tmp_path / "b.d"

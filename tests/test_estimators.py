@@ -283,6 +283,43 @@ class TestLeastSquaresSignal:
         with pytest.raises(RankDeficiencyError):
             least_squares_signal(x, np.ones((5, 1)), Permutation(np.arange(5)))
 
+    def test_zero_design_rejected_with_infinite_condition(self):
+        with pytest.raises(RankDeficiencyError, match=r"\(condition estimate inf, cutoff 1\.0e\+10\)$"):
+            least_squares_signal(np.zeros((5, 2)), np.ones((5, 1)), Permutation(np.arange(5)))
+
+    @pytest.mark.parametrize("n,p,m", [(64, 8, 8), (500, 50, 50)])
+    def test_is_numpys_lstsq_byte_for_byte(self, n, p, m):
+        inst = synthesize_instance(
+            n, p, m, n // 4, GAUSSIAN, build_canonical_signal(p, m, 1.0), 0.5, seed=3
+        )
+        aligned = inst.y[np.argsort(inst.perm_true.indices)]
+        with blas.single_threaded():
+            expected = np.linalg.lstsq(inst.x, aligned, rcond=None)[0]
+        b_hat = least_squares_signal(inst.x, inst.y, inst.perm_true)
+        assert b_hat.tobytes() == expected.tobytes()
+
+    def test_condition_estimate_reads_the_lstsq_singular_values(self, monkeypatch):
+        # The third column repeats the first up to 1e-13: condition about 1e13, past the cutoff.
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((40, 3))
+        x[:, 2] = x[:, 0] + 1e-13 * rng.standard_normal(40)
+        calls = []
+        real = np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            calls.append(real(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        with pytest.raises(RankDeficiencyError) as error:
+            least_squares_signal(x, np.ones((40, 1)), Permutation(np.arange(40)))
+        assert len(calls) == 1
+        svals = calls[0][3]
+        assert str(error.value) == (
+            "design matrix is numerically rank deficient "
+            f"(condition estimate {svals[0] / svals[-1]:.3e}, cutoff 1.0e+10)"
+        )
+
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1))
     def test_alignment_is_the_inverse_permutation_byte_for_byte(self, data, n, seed):

@@ -27,6 +27,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 OBJECTIVE = r"^assignment objective sum_i C\[i, pi\(i\)\] overflows float64"
 START = r"^one-step matching direction X X\^T Y overflows float64$"
+UNDERFLOW = r"^matching direction X D is zero or below about 2\.2e-308 in every entry$"
 
 
 def pair(n=6, p=3, m=2, seed=0):
@@ -123,6 +124,30 @@ class TestEstimators:
         x, y = pair(n=20, p=2, m=2)
         with pytest.raises(ValueError, match=START):
             estimate(x * 1e250, y * 1e-150)
+
+    @pytest.mark.parametrize("scale_x,scale_y", [(1e-175, 1e25), (1e-200, 1e50), (1e-225, 1e75)])
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            one_step_estimate,
+            lambda x, y: oracle_permutation_estimate(x, y, x.T @ y),
+            lambda x, y: alternating_minimization(x, y, max_iters=3),
+        ],
+        ids=["one_step", "oracle", "alt_min"],
+    )
+    def test_matching_direction_that_underflows(self, estimate, scale_x, scale_y):
+        # X^T Y is about 1e-150, and X X^T Y about 1e-325 rounds to zero: the cost would be
+        # zero, every matching tied, and the identity returned with objective 0.
+        x, y = pair(n=20, p=2, m=2)
+        with pytest.raises(ValueError, match=UNDERFLOW):
+            estimate(x * scale_x, y * scale_y)
+
+    def test_matching_direction_of_exactly_orthogonal_data(self):
+        # Y is orthogonal to the columns of X, so X^T Y and X X^T Y are exactly zero.
+        x = np.vstack([np.eye(2), np.zeros((2, 2))])
+        y = np.array([[0.0], [0.0], [1.0], [-1.0]])
+        with pytest.raises(ValueError, match=UNDERFLOW):
+            one_step_estimate(x, y)
 
     def test_least_squares_signal(self):
         x, y = pair(n=40, p=3, m=3)
