@@ -414,20 +414,35 @@ class TestAlternatingMinimization:
         inst = synthesize_instance(n, p, m, n // 2, dist, build_canonical_signal(p, m, 1.0), sigma, seed)
         assume(np.linalg.matrix_rank(inst.x) == p)
         iters = 3
-        trace = alternating_minimization(inst.x, inst.y, max_iters=iters, stop_on_repeat=False).trace
         # Iteration 0 is the oracle from X^T Y; iteration t the oracle from iteration t-1's b_hat.
         b = inst.x.T @ inst.y
-        for t in range(iters + 1):
-            oracle = oracle_permutation_estimate(inst.x, inst.y, b)
+        oracles = []
+        while len(oracles) <= iters and np.abs(inst.x @ b).max() >= np.finfo(np.float64).tiny:
+            oracles.append(oracle_permutation_estimate(inst.x, inst.y, b))
+            b = oracles[-1].b_hat
+        if len(oracles) <= iters:
+            # Orthogonal +-1 data can give an exactly zero X D at iteration len(oracles): the
+            # oracle refuses it, and so does every run that reaches that iteration.
+            zero = "matching direction X D is zero or below about 2.2e-308"
+            with pytest.raises(ValueError, match=zero):
+                oracle_permutation_estimate(inst.x, inst.y, b)
+            for stop in (len(oracles), iters):
+                with pytest.raises(ValueError, match=zero):
+                    alternating_minimization(inst.x, inst.y, max_iters=stop, stop_on_repeat=False)
+        else:
+            trace = alternating_minimization(inst.x, inst.y, max_iters=iters, stop_on_repeat=False).trace
+        for t, oracle in enumerate(oracles):
             # The run stopped after iteration t ends with that iteration's estimate.
             upto = alternating_minimization(inst.x, inst.y, max_iters=t, stop_on_repeat=False)
+            if len(oracles) <= iters:
+                trace = upto.trace
+            assert upto.trace == trace[: t + 1]
             assert trace[t].perm.indices.tobytes() == oracle.perm_hat.indices.tobytes()
             assert upto.perm_hat.indices.tobytes() == oracle.perm_hat.indices.tobytes()
             assert upto.b_hat.tobytes() == oracle.b_hat.tobytes()
             assert upto.objective == oracle.objective
             residual = np.linalg.norm(inst.y - (inst.x @ oracle.b_hat)[oracle.perm_hat.indices])
             assert trace[t].residual == float(residual)
-            b = oracle.b_hat
 
     def test_start_is_not_an_argument(self):
         # The start is always X^T Y: a B passed third is a TypeError, never read as max_iters.
