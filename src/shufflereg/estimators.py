@@ -36,6 +36,7 @@ from .metrics import frobenius_norm, hamming_distance
 from .model import Permutation, require_finite, require_matrix
 
 _RANK_RTOL = 1e-10
+_TINY = np.finfo(np.float64).tiny
 
 
 class RankDeficiencyError(ValueError):
@@ -116,12 +117,22 @@ def build_onestep_cost(x, y) -> tuple[np.ndarray, np.ndarray]:
     return ya, direction
 
 
+def _no_normal_entry(arr: np.ndarray) -> bool:
+    return max(arr.max(), -arr.min()) < _TINY
+
+
 def _match_and_fit(x, ya: np.ndarray, direction: np.ndarray) -> EstimationResult:
-    """Assignment solve on C = Y (X D)^T, given direction = X D, then least squares."""
-    # With no normal float64 entry in X D, C is zero up to subnormals and every matching ties.
-    if max(direction.max(), -direction.min()) < np.finfo(np.float64).tiny:
+    """Assignment solve on C = Y (X D)^T, given direction = X D, then least squares.
+
+    Raises ValueError when X D, or C itself, has no normal float64 entry: C is
+    then zero up to subnormals, and every matching ties.
+    """
+    if _no_normal_entry(direction):
         raise ValueError("matching direction X D is zero or below about 2.2e-308 in every entry")
     assignment = lap_maximize(ya, direction)
+    # A C with no normal entry sums to less than n tiny in magnitude; only then is it formed again.
+    if abs(assignment.objective) < ya.shape[0] * _TINY and _no_normal_entry(ya @ direction.T):
+        raise ValueError("matching cost Y (X D)^T is zero or below about 2.2e-308 in every entry")
     return EstimationResult(
         perm_hat=assignment.perm,
         b_hat=least_squares_signal(x, ya, assignment.perm),

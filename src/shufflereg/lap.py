@@ -24,12 +24,13 @@ optimum with probability one, while the test alone, O(n^2) per Bellman-Ford
 round plus several more n x n arrays, takes about twice the solve on such costs;
 run at every n, it cut perfbench throughput by 30-66% (README, "Ties").
 
-Every objective, on the solver and tie paths alike, is the same summation of
-the entries C[i, pi(i)] in ascending row order (``_canonical_sum``), so
-equality comparisons are exact. A sum that overflows float64 raises
-ValueError (``model.require_finite``): the solver's optimum is summed before
-the tie pass compares anything, so every comparison is between finite sums,
-and a cost whose tie test overflows is refused too.
+Every objective, on the solver and tie paths alike, is the correctly rounded
+sum of the entries C[i, pi(i)] (``_canonical_sum``, ``math.fsum``), which does
+not depend on their order: two assignments that pick the same entries in
+different rows, such as two repeated rows trading columns, tie exactly. A sum
+whose partial sums overflow float64 raises ValueError: the solver's optimum is
+summed before the tie pass compares anything, so every comparison is between
+finite sums, and a cost whose tie test overflows is refused too.
 """
 
 from __future__ import annotations
@@ -62,11 +63,14 @@ class Assignment:
 
 
 def _canonical_sum(entries: np.ndarray) -> float:
-    """Sum of the chosen entries C[i, pi(i)], in ascending row order; ValueError if it overflows.
+    """Correctly rounded sum of the chosen entries C[i, pi(i)], in any order (``math.fsum``).
 
-    ``np.add.reduce`` is ``np.sum`` without its Python wrapper: the same pairwise summation.
+    ValueError if a partial sum overflows float64.
     """
-    return require_finite(lambda: float(np.add.reduce(entries)), _OBJECTIVE_OVERFLOWS)
+    try:
+        return math.fsum(entries.tolist())
+    except OverflowError:
+        raise ValueError(_OBJECTIVE_OVERFLOWS) from None
 
 
 def _reduced_costs(cost: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -120,18 +124,21 @@ def _tied_components(cost: np.ndarray, indices: np.ndarray, scale: float) -> lis
     the tie pass runs but not a bound that scales to a dense solve's n.
 
     ``tol`` bounds roundoff, so a row may be flagged in error but never
-    missed. With u = eps / 2, M = max|C| and canonical sums of n terms, to
-    first order in u: (1) two sums that compare equal differ by at most
-    2 n^2 u M exactly; (2) once d stops changing, d_j <= fl(d_i + w_ij) and
-    -2nM <= d <= 0, so a cycle of k edges weighs at least -2k (n + 1) u M
-    exactly, and a cycle of an assignment tied in floating point weighs at
-    most (4 n^2 + 2n) u M; (3) every reduced cost is at least -2n u M, so on
-    such a cycle none exceeds (6 n^2 + 2n) u M, and computing r adds at most
-    (8n + 4) u M. The sum, (6 n^2 + 10 n + 4) u M, stays below
-    tol = 4 (n + 2)^2 eps M = (8 n^2 + 32 n + 32) u M for every n >= 1, with
-    room for the higher-order terms. If d still changes after n rounds, pi is
-    not optimal in exact arithmetic and every row is flagged. The caller
-    passes M as ``scale``.
+    missed. With u = eps / 2, M = max|C| and correctly rounded sums of n
+    terms, to first order in u: (1) each sum is within n u M of its exact
+    value, so two sums that compare equal differ by at most 2n u M exactly;
+    (2) once d stops changing, d_j <= fl(d_i + w_ij) and -2nM <= d <= 0, so a
+    cycle of k edges weighs at least -2k (n + 1) u M exactly, and a cycle of
+    an assignment tied in floating point weighs at most (2 n^2 + 4n) u M;
+    (3) every reduced cost is at least -2n u M, so on such a cycle none
+    exceeds (4 n^2 + 4n) u M, and computing r adds at most (8n + 4) u M. The
+    sum, (4 n^2 + 12 n + 4) u M, stays below tol = 4 (n + 2)^2 eps M =
+    (8 n^2 + 32 n + 32) u M for every n >= 1, with room for the higher-order
+    terms. ``tol`` also covers plain summation in a fixed order, whose point
+    (1) bound is 2 n^2 u M, so for correctly rounded sums it is an upper bound
+    with room to spare. If d still changes after n rounds, pi is not optimal
+    in exact arithmetic and every row is flagged. The caller passes M as
+    ``scale``.
     """
     n = cost.shape[0]
     reduced = require_finite(
@@ -165,28 +172,21 @@ def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray, best: fl
     component's columns; components are independent, so each is refined on
     its own and a cost without ties takes no sub-solve. A component's rows g
     first try its columns in ascending order, the one arrangement of them
-    that no other beats lexicographically, and keep it if the canonical
-    objective over all rows still equals the optimum. Otherwise the greedy
-    runs over g, ascending: with rows < g[k] fixed, re-solve rows g[k:] over
-    their columns with row g[k] barred from its current column and every
-    larger one, and adopt the result while the objective still equals the
-    optimum. Comparisons are exact float equality on canonically summed
-    objectives, which detects exactly the ties that are exact in double
-    precision.
+    that no other beats lexicographically, and keep it if the objective over
+    all rows still equals the optimum. Otherwise the greedy runs over g,
+    ascending: with rows < g[k] fixed, re-solve rows g[k:] over their columns
+    with row g[k] barred from its current column and every larger one, and
+    adopt the result while the objective still equals the optimum. Comparisons are exact float equality on correctly rounded
+    objectives (``_canonical_sum``): two arrangements tie exactly when their
+    exact sums round to the same double, whatever rows hold the entries.
     """
     rows = np.arange(cost.shape[0])
     scale = float(np.abs(cost).max())
-    # No partial sum of n entries passes n max|C|. Below the double range, then, no trial sum
-    # can overflow, and each skips require_finite, whose error-state switch costs about a sum.
-    if math.isfinite((rows.size + 1) * scale):
-        total = lambda entries: float(np.add.reduce(entries))
-    else:
-        total = _canonical_sum
     current = indices.copy()
     for group in _tied_components(cost, indices, scale):
         trial = current.copy()
         cols = trial[group] = np.sort(current[group])
-        if total(cost[rows, trial]) == best:
+        if _canonical_sum(cost[rows, trial]) == best:
             current = trial
             continue
         # Positions in cols of each row's column; the greedy only permutes them.
@@ -203,7 +203,7 @@ def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray, best: fl
                 moved = held.copy()
                 moved[k:] = free[picked]
                 trial[group] = cols[moved]
-                if total(cost[rows, trial]) != best:
+                if _canonical_sum(cost[rows, trial]) != best:
                     break
                 held = moved
         current[group] = cols[held]

@@ -1,18 +1,18 @@
-"""Test oracles for the assignment solver: the canonical objective and an exhaustive maximum.
+"""Test oracles for the assignment solver: the objective and an exhaustive maximum.
 
-Both use ``shufflereg.lap``'s own summation, so an objective here compares
-exactly (``==``) with one that ``lap_maximize`` returns. ``dense`` spells a
-dense cost C as the factor pair (C, I) that ``lap_maximize`` takes.
+Both sum with ``shufflereg.lap._canonical_sum`` (``math.fsum``), so an
+objective here compares exactly (``==``) with one that ``lap_maximize``
+returns. ``dense`` spells a dense cost C as the factor pair (C, I) that
+``lap_maximize`` takes.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
-from shufflereg.lap import _OBJECTIVE_OVERFLOWS, Assignment, _canonical_sum
+from shufflereg.lap import Assignment, _canonical_sum
 from shufflereg.model import Permutation, require_finite
 
 BRUTE_FORCE_MAX_N = 10
@@ -24,7 +24,7 @@ def dense(cost) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assignment_objective(cost: np.ndarray, indices: np.ndarray) -> float:
-    """Canonical objective: sum of C[i, pi(i)] in ascending row order; ValueError on overflow."""
+    """Objective: the correctly rounded sum of the C[i, pi(i)]; ValueError on overflow."""
     return _canonical_sum(cost[np.arange(cost.shape[0]), indices])
 
 
@@ -42,13 +42,8 @@ def lap_brute_force(cost) -> Assignment:
     n = arr.shape[0]
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N} (factorial blow-up)")
-    rows = np.arange(n)
-    candidates = (np.add.reduce(arr[rows, c]) for c in itertools.permutations(range(n)))
-    objectives = require_finite(
-        lambda: np.fromiter(candidates, np.float64, math.factorial(n)), _OBJECTIVE_OVERFLOWS
-    )
-    # permutations() runs in lexicographic order and argmax returns the first maximum; its
-    # objective is already assignment_objective's sum: the same entries, the same reduction.
-    k = int(objectives.argmax())
-    best = next(itertools.islice(itertools.permutations(range(n)), k, None))
-    return Assignment(Permutation(np.array(best, dtype=np.int64)), float(objectives[k]))
+    candidates = itertools.permutations(range(n))
+    # permutations() runs in lexicographic order and max() keeps the first maximum.
+    best = max(candidates, key=lambda c: assignment_objective(arr, np.array(c)))
+    indices = np.array(best, dtype=np.int64)
+    return Assignment(Permutation(indices), assignment_objective(arr, indices))

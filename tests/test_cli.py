@@ -189,6 +189,37 @@ class TestSolve:
         )
         assert not out_perm.exists() and not out_b.exists()
 
+    def test_underflowing_matching_cost_writes_no_output(self, tmp_path):
+        # X of about 1e-60 and Y of about 1e-103: X X^T Y is about 1e-223, a normal double,
+        # but the cost Y (X X^T Y)^T is about 1e-326 and rounds to zero.
+        rng = np.random.default_rng(0)
+        x_path, y_path = tmp_path / "x.txt", tmp_path / "y.txt"
+        write_matrix(rng.standard_normal((20, 2)) * 1e-60, x_path)
+        write_matrix(rng.standard_normal((20, 2)) * 1e-103, y_path)
+        out_perm, out_b = tmp_path / "p.txt", tmp_path / "b.txt"
+        out = run_cli("solve", "--x", x_path, "--y", y_path, "--out-perm", out_perm, "--out-b", out_b)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == (
+            "error: matching cost Y (X D)^T is zero or below about 2.2e-308 in every entry\n"
+        )
+        assert not out_perm.exists() and not out_b.exists()
+
+    def test_repeated_observation_row_takes_the_smaller_column_first(self, tmp_path):
+        # Rows 4 and 25 of Y are equal, so the cost has two equal rows that trade columns at no
+        # loss: the objective is one correctly rounded sum of the same entries either way, and
+        # the lexicographically smallest optimum gives row 4 the smaller column.
+        inst, x_path, y_path = write_instance(tmp_path, n=40, p=3, m=3, h=10, sigma=0.5, seed=7)
+        y = inst.y.copy()
+        y[25] = y[4]
+        write_matrix(y, y_path)
+        out_perm, out_b = tmp_path / "p.txt", tmp_path / "b.txt"
+        code = main(["solve", "--x", str(x_path), "--y", str(y_path),
+                     "--out-perm", str(out_perm), "--out-b", str(out_b)])
+        assert code == 0
+        perm = read_permutation(out_perm).indices
+        assert perm[4] < perm[25]
+
     def test_unwritable_signal_file_leaves_no_permutation_file(self, tmp_path):
         _, x_path, y_path = write_instance(tmp_path)
         out_perm, out_b = tmp_path / "p.txt", tmp_path / "b.d"

@@ -33,8 +33,7 @@ def ones_with(index, value):
 
 
 def objective_of(cost, perm):
-    cost = np.asarray(cost, dtype=float)
-    return float(np.sum(cost[np.arange(cost.shape[0]), perm.indices]))
+    return assignment_objective(np.asarray(cost, dtype=float), perm.indices)
 
 
 class TestSmallCases:
@@ -120,12 +119,42 @@ class TestTieBreak:
         assert result.perm == Permutation(np.array([0, 1, 2]))
         assert result.objective == 19.0
 
+    def test_repeated_rows_tie_whatever_order_their_entries_are_summed_in(self):
+        # Rows 1 and 2 are equal, so [0, 1, 2] and [0, 2, 1] sum the same entries; in row
+        # order those sums are (a + u) + v and (a + v) + u, which round apart for these values.
+        a, u, v = -0.7819084623568421, -0.2571922406188707, 0.008142180518343508
+        cost = np.array([[a, -10.0, -10.0], [-10.0, u, v], [-10.0, u, v]])
+        assert (a + u) + v != (a + v) + u
+        fast, brute = lap_maximize(*dense(cost)), lap_brute_force(cost)
+        assert fast.perm == brute.perm == Permutation(np.arange(3))
+        assert fast.objective == brute.objective
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(sorted),
+                st.integers(0, 2**32 - 1),
+            )
+        )
+    )
+    def test_gaussian_cost_with_a_repeated_row_matches_brute_force(self, case):
+        n, (i, j), seed = case
+        cost = np.random.default_rng(seed).standard_normal((n, n))
+        cost[j] = cost[i]
+        fast, brute = lap_maximize(*dense(cost)), lap_brute_force(cost)
+        assert fast.perm == brute.perm
+        assert fast.objective == brute.objective
+        # Rows i < j trade columns at no loss, so the earlier one holds the smaller column.
+        assert fast.perm.indices[i] < fast.perm.indices[j]
+
 
 def per_candidate_canonical(cost):
     """Reference tie pass: for each row, try every smaller free column in turn.
 
     Forces row i to candidate column j, re-solves the rows below over the
-    remaining free columns, and keeps the first j whose canonical objective
+    remaining free columns, and keeps the first j whose objective
     equals the optimum.
     """
     n = cost.shape[0]
@@ -415,13 +444,11 @@ class TestEquivariance:
             rho = rng.permutation(7)
             base = lap_maximize(*dense(cost))
             permuted = lap_maximize(*dense(cost[rho, :]))
-            # Row i of the permuted problem is row rho(i) of the original, so
-            # optimal objectives agree and the maps compose.
-            assert permuted.objective == pytest.approx(base.objective, rel=1e-12)
+            # Row i of the permuted problem is row rho(i) of the original, so the maps
+            # compose, and the objectives, correctly rounded sums of the same entries, agree.
+            assert permuted.objective == base.objective
             composed = Permutation(base.perm.indices[rho])
-            assert objective_of(cost[rho, :], composed) == pytest.approx(
-                permuted.objective, rel=1e-12
-            )
+            assert objective_of(cost[rho, :], composed) == permuted.objective
 
 
 def test_assignment_records_its_objective():

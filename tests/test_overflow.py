@@ -9,6 +9,7 @@ where the true value is a double, that this value is returned.
 import numpy as np
 import pytest
 
+import shufflereg.estimators
 import shufflereg.lap
 from shufflereg.cli import main
 from shufflereg.estimators import (
@@ -28,6 +29,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 OBJECTIVE = r"^assignment objective sum_i C\[i, pi\(i\)\] overflows float64"
 START = r"^one-step matching direction X X\^T Y overflows float64$"
 UNDERFLOW = r"^matching direction X D is zero or below about 2\.2e-308 in every entry$"
+COST_UNDERFLOW = r"^matching cost Y \(X D\)\^T is zero or below about 2\.2e-308 in every entry$"
 
 
 def pair(n=6, p=3, m=2, seed=0):
@@ -141,6 +143,40 @@ class TestEstimators:
         x, y = pair(n=20, p=2, m=2)
         with pytest.raises(ValueError, match=UNDERFLOW):
             estimate(x * scale_x, y * scale_y)
+
+    @pytest.mark.parametrize("scale_x,scale_y", [(1e-60, 1e-103), (1e-100, 1e-80)])
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            one_step_estimate,
+            lambda x, y: oracle_permutation_estimate(x, y, x.T @ y),
+            lambda x, y: alternating_minimization(x, y, max_iters=3),
+        ],
+        ids=["one_step", "oracle", "alt_min"],
+    )
+    def test_matching_cost_that_underflows(self, estimate, scale_x, scale_y):
+        # X X^T Y is a normal double (about 1e-223 and 1e-280), but C = Y (X X^T Y)^T, about
+        # 1e-326 and 1e-360, rounds to zero: every matching would tie on objective 0.
+        x, y = pair(n=20, p=2, m=2)
+        with pytest.raises(ValueError, match=COST_UNDERFLOW):
+            estimate(x * scale_x, y * scale_y)
+
+    def test_zero_objective_of_normal_entries_is_a_match(self):
+        # C = diag(1, -1): both matchings sum to exactly 0 from normal entries, so the cost is
+        # formed again, found to hold a normal entry, and the tie goes to the identity.
+        est = oracle_permutation_estimate(np.eye(2), np.eye(2), np.diag([1.0, -1.0]))
+        assert est.objective == 0.0
+        assert est.perm_hat == Permutation(np.arange(2))
+
+    def test_cost_with_a_normal_objective_is_not_formed_again(self, monkeypatch):
+        # Only an objective below n * 2.2e-308 in magnitude sends the n x n cost to the scan.
+        checked = []
+        scan = shufflereg.estimators._no_normal_entry
+        monkeypatch.setattr(
+            shufflereg.estimators, "_no_normal_entry", lambda arr: checked.append(arr.shape) or scan(arr)
+        )
+        one_step_estimate(*pair(n=20, p=2, m=2))
+        assert checked == [(20, 2)]
 
     def test_matching_direction_of_exactly_orthogonal_data(self):
         # Y is orthogonal to the columns of X, so X^T Y and X X^T Y are exactly zero.
