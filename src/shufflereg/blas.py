@@ -1,9 +1,10 @@
 """Single-threaded OpenBLAS for the duration of a computation.
 
-numpy and scipy each bundle their own OpenBLAS: numpy's ILP64 build exports
-``scipy_openblas_{get,set}_num_threads64_`` and scipy's LP64 build
-``scipy_openblas_{get,set}_num_threads``. ``single_threaded()`` sets every
-loaded build to one thread and restores each build's previous count on exit;
+numpy bundles its own OpenBLAS, an ILP64 build that exports
+``scipy_openblas_{get,set}_num_threads64_``. scipy bundles another, an LP64
+build, but the library calls scipy only for ``linear_sum_assignment``, whose
+extension links no BLAS, so that build is left alone. ``single_threaded()``
+sets numpy's build to one thread and restores its previous count on exit;
 it also works as a decorator. Every public function of ``estimators``,
 ``lap_maximize``, instance synthesis, the singular values and relative signal
 error of ``metrics`` and whole sweeps run inside it, because the thread
@@ -27,11 +28,8 @@ import functools
 import threading
 from typing import Callable, NamedTuple
 
-# (get, set) symbol pairs of numpy's ILP64 build and scipy's LP64 build.
-_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
+# Thread-count symbols of numpy's ILP64 build.
+_GET, _SET = "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"
 
 _lock = threading.Lock()
 _depth = 0
@@ -46,7 +44,7 @@ class OpenBlasBuild(NamedTuple):
 
 @functools.cache
 def openblas_builds() -> tuple[OpenBlasBuild, ...]:
-    """Every OpenBLAS build loaded in this process that exports thread-count symbols."""
+    """Every OpenBLAS build loaded in this process that exports numpy's thread-count symbols."""
     try:
         with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
@@ -58,19 +56,17 @@ def openblas_builds() -> tuple[OpenBlasBuild, ...]:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for get_name, set_name in _SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                builds.append(OpenBlasBuild(path, get, set_))
-                break
+        if hasattr(lib, _GET) and hasattr(lib, _SET):
+            get, set_ = getattr(lib, _GET), getattr(lib, _SET)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            builds.append(OpenBlasBuild(path, get, set_))
     return tuple(builds)
 
 
 @contextlib.contextmanager
 def single_threaded():
-    """Run the body with every loaded OpenBLAS build at one thread."""
+    """Run the body with numpy's OpenBLAS build at one thread."""
     global _depth
     with _lock:
         if _depth == 0:

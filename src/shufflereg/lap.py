@@ -7,16 +7,20 @@ linear_sum_assignment), which is exact and O(n^3). Negating the thin factor
 is exact, so the buffer is -C bit for bit up to the sign of zero entries. A
 dense cost C is the pair (C, I), whose product (-C) I is -C up to the same signs.
 
-Ties between optimal assignments are broken toward the lexicographically
-smallest index map for n <= 64. The tie pass first finds, on the exchange
-graph of the solver's optimum, the rows that lie on a zero-weight cycle and so
-can take another column in some other optimum: a Bellman-Ford that relaxes
-only from the rows changed in the round before, then a boolean transitive
-closure of the tight edges. Each strongly connected group of such rows is
-then refined on its own. It first tries its columns in ascending order, which
-settles most groups with no solve at all; only if that arrangement is not
-tied does it run restricted re-solves of the group, one per row and repeated
-while they find a tie. A cost without ties costs one solve and the test.
+Ties are broken for n <= 64 by one rule, the tight graph of the solver's
+optimum (``_tied_components``): an edge of its exchange graph is tight when
+its reduced cost lies within roundoff of zero. The pass returns the
+lexicographically smallest index map that uses only tight edges. A boolean
+transitive closure groups the rows that can trade columns; a group whose rows
+may take its columns in ascending order takes them, and any other group runs
+a backward search per row (``_lex_smallest_matching``). The pass makes no
+re-solve and compares no objectives; its one float comparison is the tight
+test. Every exact optimum uses only tight edges, so the result is never
+lexicographically after one, and its exact objective is within the roundoff
+bound (2n + 1) tol of the maximum. Where every sum is exact and distinct sums
+lie further apart than that, as on small integer and dyadic costs, it is the
+lexicographically smallest optimum. A cost without ties costs one solve and
+the test.
 
 n <= 64 is the permanent rule. Larger problems return the solver's
 deterministic optimum: costs with continuous random entries have a unique
@@ -24,13 +28,11 @@ optimum with probability one, while the test alone, O(n^2) per Bellman-Ford
 round plus several more n x n arrays, takes about twice the solve on such costs;
 run at every n, it cut perfbench throughput by 30-66% (README, "Ties").
 
-Every objective, on the solver and tie paths alike, is the correctly rounded
-sum of the entries C[i, pi(i)] (``_canonical_sum``, ``math.fsum``), which does
-not depend on their order: two assignments that pick the same entries in
-different rows, such as two repeated rows trading columns, tie exactly. A sum
-whose partial sums overflow float64 raises ValueError: the solver's optimum is
-summed before the tie pass compares anything, so every comparison is between
-finite sums, and a cost whose tie test overflows is refused too.
+The objective is the correctly rounded sum of the entries C[i, pi(i)] of the
+returned assignment (``_canonical_sum``, ``math.fsum``), which does not depend
+on their order. A sum whose partial sums overflow float64 raises ValueError;
+the solver's optimum is summed first, so such a cost is refused before the
+tie test runs, and a cost whose tie test overflows is refused too.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from scipy.optimize import linear_sum_assignment
 from . import blas, instrument
 from .model import Permutation, require_finite, require_matrix
 
-# Above this size the lexicographic tie pass (tie test, then re-solves of tied rows) is skipped.
+# Above this size the lexicographic tie pass (tie test, then the tight-graph matching) is skipped.
 LEX_TIEBREAK_MAX_N = 64
 
 _OBJECTIVE_OVERFLOWS = (
@@ -73,17 +75,19 @@ def _canonical_sum(entries: np.ndarray) -> float:
         raise ValueError(_OBJECTIVE_OVERFLOWS) from None
 
 
-def _reduced_costs(cost: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Reduced costs r = w + d_i - d_j of the exchange graph of pi (see ``_tied_components``).
+def _reduced_costs(cost: np.ndarray, indices: np.ndarray, tol: float) -> np.ndarray:
+    """Reduced costs r = w + tol / n + d_i - d_j of pi's lengthened exchange graph.
 
-    If d still changes after n rounds, every r is 0: each edge then counts as
-    tight, so every row is flagged.
+    See ``_tied_components``. If d still changes after n rounds, pi is not
+    optimal even within roundoff: every r is then the largest double, so no
+    edge is tight, no row is flagged and the solver's optimum is kept.
     """
     n = cost.shape[0]
     held = cost[np.arange(n), indices]
     w = held[:, None] - cost[:, indices]
-    # w has a zero diagonal, so d <= 0 and the rows below zero are the ones that changed.
-    d = w.min(axis=0)
+    w += tol / n
+    # The virtual source offers 0 to every row, so d <= 0 and the rows below zero changed.
+    d = np.minimum(w.min(axis=0), 0.0)
     changed = np.flatnonzero(d)
     for _ in range(n - 1):
         if not changed.size:
@@ -94,63 +98,70 @@ def _reduced_costs(cost: np.ndarray, indices: np.ndarray) -> np.ndarray:
         changed = np.flatnonzero(relaxed < d)
         d[changed] = relaxed[changed]
     if changed.size:
-        return np.zeros((n, n))
+        return np.full((n, n), np.finfo(np.float64).max)
     return w + d[:, None] - d[None, :]
 
 
-def _tied_components(cost: np.ndarray, indices: np.ndarray, scale: float) -> list[np.ndarray]:
-    """Row groups, ascending, that may trade columns with one another in some optimum.
+def _tied_components(
+    cost: np.ndarray, indices: np.ndarray, scale: float
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Row groups, ascending, that trade columns in some tight matching, and the tight edges.
 
-    Exchange graph of the optimum pi: the edge i -> j weighs
+    Exchange graph of the solver's optimum pi: the edge i -> j weighs
     w[i, j] = C[i, pi(i)] - C[i, pi(j)], the loss when row i takes row j's
     column. Another assignment sigma differs from pi by disjoint cycles of
-    this graph, and sigma is also optimal iff every one of them weighs zero
-    (complementary slackness; Burkard, Dell'Amico & Martello, *Assignment
-    Problems*, 2009). Bellman-Ford from a virtual source gives potentials d
-    with reduced costs r = w + d_i - d_j >= 0, and r sums to w around a
-    cycle, so every edge of a zero cycle has r = 0 and its rows share a
-    strongly connected component of the edges with r <= tol. Rows outside
-    every component of size > 1 hold the same column in every optimum.
+    this graph, which weigh sum(pi) - sum(sigma) in all (Burkard, Dell'Amico
+    & Martello, *Assignment Problems*, 2009). Every edge is lengthened by
+    l = tol / n, so a cycle gains at most tol: the negative cycle a few ulps
+    deep that a floating-point optimum can leave turns positive. Bellman-Ford
+    from a virtual source then gives potentials d with reduced costs
+    r = w + l + d_i - d_j, at least zero up to roundoff, that sum to the
+    lengthened weight around any cycle. The edge i -> j is *tight* when
+    r <= 2 tol, and ``tight[i, j]`` says so; once d settles, the diagonal is.
+    Every assignment that uses only tight edges differs from pi by cycles of
+    tight edges, so its moved rows share a strongly connected component of
+    them; rows outside every component of size > 1 keep their column.
 
-    Bellman-Ford starts from the first round, d = min_i w[i, :], and each
-    later round relaxes only from the rows whose potential the round before
-    changed: an unchanged row offers every column the sum it offered then.
-    The rounds therefore give the potentials of a full relaxation bit for
-    bit, within the same n rounds. The components are read off a boolean
+    Bellman-Ford starts from the first round, d = min(min_i w[i, :], 0), and
+    each later round relaxes only from the rows whose potential the round
+    before changed: an unchanged row offers every column the sum it offered
+    then. The rounds therefore give the potentials of a full relaxation bit
+    for bit, within the same n rounds. The components are read off a boolean
     transitive closure, by repeated squaring, of the tight edges among the
-    rows that have a tight edge both in and out (the diagonal is always
-    tight and does not count): i and j share a component iff each reaches
-    the other. That is O(k^3 log k) in the k such rows, cheap at the sizes
-    the tie pass runs but not a bound that scales to a dense solve's n.
+    rows that have a tight edge both in and out besides the diagonal: i and
+    j share a component iff each reaches the other. That is O(k^3 log k) in
+    the k such rows, cheap at the sizes the tie pass runs but not a bound
+    that scales to a dense solve's n.
 
-    ``tol`` bounds roundoff, so a row may be flagged in error but never
-    missed. With u = eps / 2, M = max|C| and correctly rounded sums of n
-    terms, to first order in u: (1) each sum is within n u M of its exact
-    value, so two sums that compare equal differ by at most 2n u M exactly;
-    (2) once d stops changing, d_j <= fl(d_i + w_ij) and -2nM <= d <= 0, so a
-    cycle of k edges weighs at least -2k (n + 1) u M exactly, and a cycle of
-    an assignment tied in floating point weighs at most (2 n^2 + 4n) u M;
-    (3) every reduced cost is at least -2n u M, so on such a cycle none
-    exceeds (4 n^2 + 4n) u M, and computing r adds at most (8n + 4) u M. The
-    sum, (4 n^2 + 12 n + 4) u M, stays below tol = 4 (n + 2)^2 eps M =
-    (8 n^2 + 32 n + 32) u M for every n >= 1, with room for the higher-order
-    terms. ``tol`` also covers plain summation in a fixed order, whose point
-    (1) bound is 2 n^2 u M, so for correctly rounded sums it is an upper bound
-    with room to spare. If d still changes after n rounds, pi is not optimal
-    in exact arithmetic and every row is flagged. The caller passes M as
-    ``scale``.
+    ``tol`` = 4 (n + 2)^2 eps M bounds roundoff, with u = eps / 2, M = max|C|
+    (the caller passes it as ``scale``) and correctly rounded objectives. To
+    first order in u: each computed w is within 4uM of w + l, and the
+    diagonal is exactly l; d lies in [-2nM, 0]; once d settles,
+    d_j <= fl(d_i + w_ij), so every reduced cost r* taken exactly from the
+    computed w and d is at least -(2n + 2) u M, and the computed r is within
+    (4n + 4) u M of r*. Around the rows of any assignment sigma the r* sum
+    to sum(pi) - sum(sigma) + n l, up to 4uM per moved row. Two facts follow.
+    (1) Every sigma whose correctly rounded objective is at least pi's, an
+    exact optimum among them, uses only tight edges: its exact sum is at
+    most 2nuM below pi's, so none of its edges has r above
+    tol + (2n^2 + 10n + 2) u M <= 2 tol. (2) Every assignment tau that uses
+    only tight edges is within (2n + 1) tol of the exact maximum: for any
+    sigma, sum(sigma) - sum(tau) is the r* over tau's edges minus those over
+    sigma's, up to 8nuM, at most 2n tol + (6n^2 + 14n) u M. Both hold for
+    every n >= 1, since tol = (8n^2 + 32n + 32) u M, with room for the
+    higher-order terms.
     """
     n = cost.shape[0]
+    tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * scale
     reduced = require_finite(
-        lambda: _reduced_costs(cost, indices),
+        lambda: _reduced_costs(cost, indices, tol),
         "assignment tie test overflows float64: a reduced cost "
         "C[i, pi(i)] - C[i, pi(j)] + d_i - d_j passes about 1.8e308; rescale the inputs",
     )
-    tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * scale
-    tight = reduced <= tol
+    tight = reduced <= 2.0 * tol
     linked = np.flatnonzero((tight.sum(axis=0) > 1) & (tight.sum(axis=1) > 1))
     if not linked.size:
-        return []
+        return [], tight
     reach = tight[np.ix_(linked, linked)]
     while True:
         as_float = reach.astype(np.float64)
@@ -162,51 +173,75 @@ def _tied_components(cost: np.ndarray, indices: np.ndarray, scale: float) -> lis
     leaders = np.flatnonzero(
         (mutual.argmax(axis=1) == np.arange(linked.size)) & (mutual.sum(axis=1) > 1)
     )
-    return [linked[mutual[i]] for i in leaders]
+    return [linked[mutual[i]] for i in leaders], tight
 
 
-def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray, best: float) -> np.ndarray:
-    """Refine an optimal assignment, objective ``best``, to the lex-smallest one of equal objective.
+def _lex_smallest_matching(allowed: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest perfect matching of the boolean k x k graph ``allowed``.
+
+    ``start`` is one perfect matching of it: row a holds column start[a]. Rows
+    are fixed in ascending order. With the rows before a fixed, a perfect
+    matching of the rest gives row a column c iff an alternating cycle runs
+    from a through c and back to a's own column, since two perfect matchings
+    differ by such cycles. A backward breadth-first search from a's column,
+    over the columns that later rows hold, finds every column whose row can
+    move on along allowed edges; row a takes the smallest of them that it is
+    allowed, and the columns rotate along the search's pointers.
+    """
+    match = start.copy()
+    owner = np.empty_like(match)
+    owner[match] = np.arange(match.size)
+    for a in range(match.size - 1):
+        own = match[a]
+        # The columns below its own that row a may take, held by later rows.
+        wanted = allowed[a, :own] & (owner[:own] > a)
+        if not wanted.any():
+            continue
+        first = wanted.argmax()
+        # freed[c]: column c can be vacated, its row moving on to column via[c].
+        freed = np.zeros(match.size, dtype=bool)
+        freed[own] = True
+        via = np.empty_like(match)
+        later = np.arange(match.size) > a
+        frontier = match[a : a + 1]
+        # Once the smallest column row a may take is freed, no other can beat it.
+        while frontier.size and not freed[first]:
+            hits = allowed[:, frontier]
+            movers = hits.any(axis=1) & later & ~freed[match]
+            via[match[movers]] = frontier[hits[movers].argmax(axis=1)]
+            frontier = match[movers]
+            freed[frontier] = True
+        # The smallest column row a may take that the search freed; its own, if no other.
+        path = [int(np.argmax(freed & allowed[a]))]
+        while path[-1] != own:
+            path.append(int(via[path[-1]]))
+        rows = owner[path]
+        match[rows] = path[1:] + path[:1]
+        owner[match[rows]] = rows
+    return match
+
+
+def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The lexicographically smallest perfect matching of the tight graph of ``indices``.
 
     Only the rows of ``_tied_components`` can move, and only among their own
-    component's columns; components are independent, so each is refined on
-    its own and a cost without ties takes no sub-solve. A component's rows g
-    first try its columns in ascending order, the one arrangement of them
-    that no other beats lexicographically, and keep it if the objective over
-    all rows still equals the optimum. Otherwise the greedy runs over g,
-    ascending: with rows < g[k] fixed, re-solve rows g[k:] over their columns
-    with row g[k] barred from its current column and every larger one, and
-    adopt the result while the objective still equals the optimum. Comparisons are exact float equality on correctly rounded
-    objectives (``_canonical_sum``): two arrangements tie exactly when their
-    exact sums round to the same double, whatever rows hold the entries.
+    group's columns; groups are independent, so each takes its own smallest
+    matching. A group whose rows may each take its columns in ascending
+    order takes them, the one arrangement of them that no other beats
+    lexicographically, with no search; the others run
+    ``_lex_smallest_matching``. No float is compared but the tight test.
     """
-    rows = np.arange(cost.shape[0])
-    scale = float(np.abs(cost).max())
     current = indices.copy()
-    for group in _tied_components(cost, indices, scale):
-        trial = current.copy()
-        cols = trial[group] = np.sort(current[group])
-        if _canonical_sum(cost[rows, trial]) == best:
-            current = trial
-            continue
-        # Positions in cols of each row's column; the greedy only permutes them.
-        held = np.searchsorted(cols, current[group])
-        neg = -cost[group[:, None], cols]
-        for k in range(group.size - 1):
-            free = np.sort(held[k:])
-            if held[k] == free[0]:
-                continue
-            sub = neg[k:, free]
-            while held[k] > free[0]:
-                sub[0, free >= held[k]] = np.inf
-                _, picked = linear_sum_assignment(sub)
-                moved = held.copy()
-                moved[k:] = free[picked]
-                trial[group] = cols[moved]
-                if _canonical_sum(cost[rows, trial]) != best:
-                    break
-                held = moved
-        current[group] = cols[held]
+    groups, tight = _tied_components(cost, indices, float(np.abs(cost).max()))
+    for group in groups:
+        order = np.argsort(indices[group])
+        cols = indices[group][order]
+        # allowed[a, b]: row group[a] may take cols[b], the column of row group[order[b]].
+        allowed = tight[np.ix_(group, group[order])]
+        if allowed.diagonal().all():
+            current[group] = cols
+        else:
+            current[group] = cols[_lex_smallest_matching(allowed, np.argsort(order))]
     return current
 
 
@@ -243,8 +278,11 @@ def lap_maximize(left, right) -> Assignment:
     instrument.record("lap_solve")
     _, col_ind = linear_sum_assignment(neg)
     indices = col_ind.astype(np.int64)
-    # Negated back, the gathered entries are those of C: the sum the tie pass compares with.
-    objective = _canonical_sum(-neg[np.arange(n), indices])
+    rows = np.arange(n)
+    # Negated back, the gathered entries are those of C. The solver's optimum is summed
+    # first, so an objective that overflows is refused before the tie test runs.
+    objective = _canonical_sum(-neg[rows, indices])
     if n <= LEX_TIEBREAK_MAX_N:
-        indices = _lexicographically_canonical(-neg, indices, objective)
+        indices = _lexicographically_canonical(-neg, indices)
+        objective = _canonical_sum(-neg[rows, indices])
     return Assignment(Permutation(indices), objective)

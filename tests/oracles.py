@@ -2,13 +2,15 @@
 
 Both sum with ``shufflereg.lap._canonical_sum`` (``math.fsum``), so an
 objective here compares exactly (``==``) with one that ``lap_maximize``
-returns. ``dense`` spells a dense cost C as the factor pair (C, I) that
-``lap_maximize`` takes.
+returns. ``exact_objective`` and ``lap_exact_maximum`` sum in rationals
+(``fractions.Fraction``) with no rounding at all. ``dense`` spells a dense
+cost C as the factor pair (C, I) that ``lap_maximize`` takes.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,3 +49,20 @@ def lap_brute_force(cost) -> Assignment:
     best = max(candidates, key=lambda c: assignment_objective(arr, np.array(c)))
     indices = np.array(best, dtype=np.int64)
     return Assignment(Permutation(indices), assignment_objective(arr, indices))
+
+
+def exact_objective(cost: np.ndarray, indices) -> Fraction:
+    """The sum of the C[i, pi(i)] in exact rational arithmetic."""
+    return sum(map(Fraction, cost[np.arange(cost.shape[0]), indices].tolist()), Fraction(0))
+
+
+def lap_exact_maximum(cost: np.ndarray) -> Fraction:
+    """Exact maximum of sum_i C[i, pi(i)] over all n! permutations (n <= 10), in rationals."""
+    n = cost.shape[0]
+    if n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N} (factorial blow-up)")
+    entries = [[Fraction(value) for value in row] for row in cost.tolist()]
+    return max(
+        sum((entries[i][j] for i, j in enumerate(c)), Fraction(0))
+        for c in itertools.permutations(range(n))
+    )

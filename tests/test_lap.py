@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from scipy.sparse.csgraph import connected_components
 import shufflereg.lap
 from shufflereg.estimators import build_onestep_cost
 from shufflereg.experiments import sigma_for_snr
-from shufflereg.lap import Assignment, _tied_components, lap_maximize
+from shufflereg.lap import Assignment, _lex_smallest_matching, _tied_components, lap_maximize
 from shufflereg.model import (
     DistributionKind,
     Permutation,
@@ -18,11 +21,18 @@ from shufflereg.model import (
     synthesize_instance,
 )
 
-from oracles import assignment_objective, dense, lap_brute_force
+from oracles import (
+    assignment_objective,
+    dense,
+    exact_objective,
+    lap_brute_force,
+    lap_exact_maximum,
+)
 
 
 def tied_components(cost, start):
-    return _tied_components(cost, start, float(np.abs(cost).max()))
+    groups, _ = _tied_components(cost, start, float(np.abs(cost).max()))
+    return groups
 
 
 def ones_with(index, value):
@@ -198,20 +208,20 @@ def count_solves(monkeypatch):
 def strong_component_groups(cost, indices):
     """Reference tie test: full Bellman-Ford rounds, then scipy's strong components.
 
-    Same exchange graph, potentials and tolerance as ``_tied_components``.
+    Same lengthened exchange graph, potentials and tight threshold as ``_tied_components``.
     """
     n = cost.shape[0]
-    w = cost[np.arange(n), indices][:, None] - cost[:, indices]
+    tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())
+    w = cost[np.arange(n), indices][:, None] - cost[:, indices] + tol / n
     d = np.zeros(n)
     for _ in range(n):
-        relaxed = (d[:, None] + w).min(axis=0)
+        relaxed = np.minimum(d, (d[:, None] + w).min(axis=0))
         if np.array_equal(relaxed, d):
             break
         d = relaxed
     else:
-        return [list(range(n))]
-    tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())
-    tight = csr_array(w + d[:, None] - d[None, :] <= tol)
+        return []
+    tight = csr_array(w + d[:, None] - d[None, :] <= 2 * tol)
     _, labels = connected_components(tight, directed=True, connection="strong")
     groups = [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
     return sorted(g for g in groups if len(g) > 1)
@@ -318,11 +328,102 @@ class TestTiePassAgainstReference:
                 assert sorted(canonical[group]) == sorted(start[group]), seed
             assert not np.any((canonical != start) & ~in_group), seed
 
-    def test_non_optimal_start_flags_every_row(self):
-        # The swap loses 2, so the exchange graph has a negative cycle and
-        # Bellman-Ford never settles.
-        groups = tied_components(np.eye(3), np.array([1, 0, 2]))
-        assert [g.tolist() for g in groups] == [[0, 1, 2]]
+    def test_non_optimal_start_flags_no_row(self):
+        # The swap loses 2, far more than the lengthening of its two edges, so the exchange
+        # graph keeps a negative cycle and Bellman-Ford never settles: no edge is tight, no
+        # row is flagged, and the pass keeps the start it was given.
+        cost, start = np.eye(3), np.array([1, 0, 2])
+        groups, tight = _tied_components(cost, start, 1.0)
+        assert groups == []
+        assert not tight.any()
+        assert np.array_equal(shufflereg.lap._lexicographically_canonical(cost, start), start)
+
+
+def roundoff_bound(cost):
+    """(2n + 1) tol: how far below the exact maximum a tight matching may sum.
+
+    The bound is derived in ``lap._tied_components``.
+    """
+    n = cost.shape[0]
+    return (2 * n + 1) * 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())
+
+
+class TestNearTies:
+    # Costs of one-decimal entries: distinct assignments can sum within an ulp of each other,
+    # and scipy's floating-point optimum may be the one an ulp below.
+
+    def test_lexicographically_smaller_matching_of_the_exact_maximum(self):
+        # scipy picks [2, 3, 0, 1], which sums to 3.6999999999999997, exactly 2^-54 below
+        # [2, 0, 1, 3]; both use only tight edges, and the lexicographically smaller one wins.
+        cost = np.array(
+            [
+                [-0.5, -0.1, 0.1, 1.2],
+                [0.6, -1.3, -0.9, 2.0],
+                [0.2, 1.4, -1.3, 1.6],
+                [0.2, 1.4, -1.3, 1.6],
+            ]
+        )
+        fast, brute = lap_maximize(*dense(cost)), lap_brute_force(cost)
+        assert fast.perm == brute.perm == Permutation(np.array([2, 0, 1, 3]))
+        assert fast.objective == brute.objective == 3.7
+
+    def test_lexicographically_smaller_tight_matching_beats_one_an_ulp_larger(self):
+        # [1, 2, 0] sums to exactly -2^-54 and [2, 1, 0], brute force's pick, to 0.0: both
+        # are tight, so the tie rule takes the lexicographically smaller one, within the bound.
+        cost = np.array([[-0.4, -0.6, 0.5], [-1.0, -1.0, 0.1], [0.5, -0.2, 0.7]]) * 3.7
+        fast = lap_maximize(*dense(cost))
+        assert fast.perm == Permutation(np.array([1, 2, 0]))
+        assert lap_brute_force(cost).perm == Permutation(np.array([2, 1, 0]))
+        gap = lap_exact_maximum(cost) - exact_objective(cost, fast.perm.indices)
+        assert gap == Fraction(1, 2**54)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1.0, 3.7, 1.44e305, 1.025e306]),
+        st.booleans(),
+    )
+    def test_within_the_bound_and_never_lexicographically_after_brute_force(
+        self, n, seed, scale, repeat_a_row
+    ):
+        rng = np.random.default_rng(seed)
+        cost = np.round(rng.standard_normal((n, n)), 1) * scale
+        if repeat_a_row:
+            i, j = rng.choice(n, 2, replace=False)
+            cost[j] = cost[i]
+        fast = lap_maximize(*dense(cost)).perm.indices
+        # Brute force's fsum maximum uses only tight edges, so it is one of the candidates.
+        assert tuple(fast) <= tuple(lap_brute_force(cost).perm.indices)
+        bound = Fraction(roundoff_bound(cost))
+        assert exact_objective(cost, fast) >= lap_exact_maximum(cost) - bound
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda k: st.tuples(hnp.arrays(bool, (k, k)), st.permutations(range(k)).map(np.array))
+        )
+    )
+    def test_matching_search_takes_the_first_perfect_matching(self, case):
+        allowed, start = case
+        allowed[np.arange(start.size), start] = True
+        # permutations() runs in lexicographic order.
+        rows = range(start.size)
+        first = next(c for c in itertools.permutations(rows) if allowed[rows, c].all())
+        assert tuple(_lex_smallest_matching(allowed, start).tolist()) == first
+
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_tied_costs_take_one_solve(self, monkeypatch, p):
+        # Noiseless Rademacher costs at n = 64 have tied groups that span several distinct
+        # columns, so their rows are rearranged by the matching search, never re-solved.
+        calls = count_solves(monkeypatch)
+        for seed in range(5):
+            left, right = rademacher_one_step_factors(64, p, None, seed)
+            cost = left @ right.T
+            _, start = linear_sum_assignment(-cost)
+            assert tied_components(cost, start)
+            lap_maximize(left, right)
+        assert calls == [(64, 64)] * 5
 
 
 @st.composite
