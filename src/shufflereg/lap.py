@@ -8,19 +8,19 @@ is exact, so the buffer is -C bit for bit up to the sign of zero entries. A
 dense cost C is the pair (C, I), whose product (-C) I is -C up to the same signs.
 
 Ties are broken for n <= 64 by one rule, the tight graph of the solver's
-optimum (``_tied_components``): an edge of its exchange graph is tight when
+optimum (``_reduced_costs``): an edge of its exchange graph is tight when
 its reduced cost lies within roundoff of zero. The pass returns the
-lexicographically smallest index map that uses only tight edges. A boolean
-transitive closure groups the rows that can trade columns; a group whose rows
-may take its columns in ascending order takes them, and any other group runs
-a backward search per row (``_lex_smallest_matching``). The pass makes no
-re-solve and compares no objectives; its one float comparison is the tight
-test. Every exact optimum uses only tight edges, so the result is never
-lexicographically after one, and its exact objective is within the roundoff
-bound (2n + 1) tol of the maximum. Where every sum is exact and distinct sums
-lie further apart than that, as on small integer and dyadic costs, it is the
-lexicographically smallest optimum. A cost without ties costs one solve and
-the test.
+lexicographically smallest index map that uses only tight edges, found by
+one search over the whole tight graph (``_lex_smallest_matching``): rows in
+ascending order, each searching backward over the rows after it only when
+it may take a smaller column that one of them holds, on bit sets of the
+tight edges. The pass makes no re-solve and compares no objectives; its one
+float comparison is the tight test. Every exact optimum uses only tight
+edges, so the result is never lexicographically after one, and its exact
+objective is within the roundoff bound (2n + 1) tol of the maximum. Where
+every sum is exact and distinct sums lie further apart than that, as on
+small integer and dyadic costs, it is the lexicographically smallest
+optimum. A cost without ties costs one solve and the test.
 
 n <= 64 is the permanent rule. Larger problems return the solver's
 deterministic optimum: costs with continuous random entries have a unique
@@ -48,6 +48,7 @@ from . import blas, instrument
 from .model import Permutation, require_finite, require_matrix
 
 # Above this size the lexicographic tie pass (tie test, then the tight-graph matching) is skipped.
+# The matching search builds its bit sets in uint64 words, so the pass needs n <= 64.
 LEX_TIEBREAK_MAX_N = 64
 
 _OBJECTIVE_OVERFLOWS = (
@@ -78,9 +79,43 @@ def _canonical_sum(entries: np.ndarray) -> float:
 def _reduced_costs(cost: np.ndarray, indices: np.ndarray, tol: float) -> np.ndarray:
     """Reduced costs r = w + tol / n + d_i - d_j of pi's lengthened exchange graph.
 
-    See ``_tied_components``. If d still changes after n rounds, pi is not
-    optimal even within roundoff: every r is then the largest double, so no
-    edge is tight, no row is flagged and the solver's optimum is kept.
+    Exchange graph of the solver's optimum pi: the edge i -> j weighs
+    w[i, j] = C[i, pi(i)] - C[i, pi(j)], the loss when row i takes row j's
+    column. Another assignment sigma differs from pi by disjoint cycles of
+    this graph, which weigh sum(pi) - sum(sigma) in all (Burkard, Dell'Amico
+    & Martello, *Assignment Problems*, 2009). Every edge is lengthened by
+    l = tol / n, so a cycle gains at most tol: the negative cycle a few ulps
+    deep that a floating-point optimum can leave turns positive. Bellman-Ford
+    from a virtual source then gives potentials d with reduced costs
+    r = w + l + d_i - d_j, at least zero up to roundoff, that sum to the
+    lengthened weight around any cycle. The edge i -> j is *tight* when
+    r <= 2 tol; once d settles, the diagonal is. Every assignment that uses
+    only tight edges differs from pi by cycles of tight edges.
+
+    Bellman-Ford starts from the first round, d = min(min_i w[i, :], 0), and
+    each later round relaxes only from the rows whose potential the round
+    before changed: an unchanged row offers every column the sum it offered
+    then. The rounds therefore give the potentials of a full relaxation bit
+    for bit, within the same n rounds. If d still changes after n rounds, pi
+    is not optimal even within roundoff: every r is then the largest double,
+    so no edge is tight, no row moves and the solver's optimum is kept.
+
+    ``tol`` = 4 (n + 2)^2 eps M bounds roundoff, with u = eps / 2, M = max|C|
+    and correctly rounded objectives. To first order in u: each computed w is
+    within 4uM of w + l, and the diagonal is exactly l; d lies in [-2nM, 0];
+    once d settles, d_j <= fl(d_i + w_ij), so every reduced cost r* taken
+    exactly from the computed w and d is at least -(2n + 2) u M, and the
+    computed r is within (4n + 4) u M of r*. Around the rows of any
+    assignment sigma the r* sum to sum(pi) - sum(sigma) + n l, up to 4uM per
+    moved row. Two facts follow. (1) Every sigma whose correctly rounded
+    objective is at least pi's, an exact optimum among them, uses only tight
+    edges: its exact sum is at most 2nuM below pi's, so none of its edges has
+    r above tol + (2n^2 + 10n + 2) u M <= 2 tol. (2) Every assignment tau
+    that uses only tight edges is within (2n + 1) tol of the exact maximum:
+    for any sigma, sum(sigma) - sum(tau) is the r* over tau's edges minus
+    those over sigma's, up to 8nuM, at most 2n tol + (6n^2 + 14n) u M. Both
+    hold for every n >= 1, since tol = (8n^2 + 32n + 32) u M, with room for
+    the higher-order terms.
     """
     n = cost.shape[0]
     held = cost[np.arange(n), indices]
@@ -102,147 +137,104 @@ def _reduced_costs(cost: np.ndarray, indices: np.ndarray, tol: float) -> np.ndar
     return w + d[:, None] - d[None, :]
 
 
-def _tied_components(
-    cost: np.ndarray, indices: np.ndarray, scale: float
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Row groups, ascending, that trade columns in some tight matching, and the tight edges.
-
-    Exchange graph of the solver's optimum pi: the edge i -> j weighs
-    w[i, j] = C[i, pi(i)] - C[i, pi(j)], the loss when row i takes row j's
-    column. Another assignment sigma differs from pi by disjoint cycles of
-    this graph, which weigh sum(pi) - sum(sigma) in all (Burkard, Dell'Amico
-    & Martello, *Assignment Problems*, 2009). Every edge is lengthened by
-    l = tol / n, so a cycle gains at most tol: the negative cycle a few ulps
-    deep that a floating-point optimum can leave turns positive. Bellman-Ford
-    from a virtual source then gives potentials d with reduced costs
-    r = w + l + d_i - d_j, at least zero up to roundoff, that sum to the
-    lengthened weight around any cycle. The edge i -> j is *tight* when
-    r <= 2 tol, and ``tight[i, j]`` says so; once d settles, the diagonal is.
-    Every assignment that uses only tight edges differs from pi by cycles of
-    tight edges, so its moved rows share a strongly connected component of
-    them; rows outside every component of size > 1 keep their column.
-
-    Bellman-Ford starts from the first round, d = min(min_i w[i, :], 0), and
-    each later round relaxes only from the rows whose potential the round
-    before changed: an unchanged row offers every column the sum it offered
-    then. The rounds therefore give the potentials of a full relaxation bit
-    for bit, within the same n rounds. The components are read off a boolean
-    transitive closure, by repeated squaring, of the tight edges among the
-    rows that have a tight edge both in and out besides the diagonal: i and
-    j share a component iff each reaches the other. That is O(k^3 log k) in
-    the k such rows, cheap at the sizes the tie pass runs but not a bound
-    that scales to a dense solve's n.
-
-    ``tol`` = 4 (n + 2)^2 eps M bounds roundoff, with u = eps / 2, M = max|C|
-    (the caller passes it as ``scale``) and correctly rounded objectives. To
-    first order in u: each computed w is within 4uM of w + l, and the
-    diagonal is exactly l; d lies in [-2nM, 0]; once d settles,
-    d_j <= fl(d_i + w_ij), so every reduced cost r* taken exactly from the
-    computed w and d is at least -(2n + 2) u M, and the computed r is within
-    (4n + 4) u M of r*. Around the rows of any assignment sigma the r* sum
-    to sum(pi) - sum(sigma) + n l, up to 4uM per moved row. Two facts follow.
-    (1) Every sigma whose correctly rounded objective is at least pi's, an
-    exact optimum among them, uses only tight edges: its exact sum is at
-    most 2nuM below pi's, so none of its edges has r above
-    tol + (2n^2 + 10n + 2) u M <= 2 tol. (2) Every assignment tau that uses
-    only tight edges is within (2n + 1) tol of the exact maximum: for any
-    sigma, sum(sigma) - sum(tau) is the r* over tau's edges minus those over
-    sigma's, up to 8nuM, at most 2n tol + (6n^2 + 14n) u M. Both hold for
-    every n >= 1, since tol = (8n^2 + 32n + 32) u M, with room for the
-    higher-order terms.
-    """
-    n = cost.shape[0]
-    tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * scale
-    reduced = require_finite(
-        lambda: _reduced_costs(cost, indices, tol),
-        "assignment tie test overflows float64: a reduced cost "
-        "C[i, pi(i)] - C[i, pi(j)] + d_i - d_j passes about 1.8e308; rescale the inputs",
-    )
-    tight = reduced <= 2.0 * tol
-    linked = np.flatnonzero((tight.sum(axis=0) > 1) & (tight.sum(axis=1) > 1))
-    if not linked.size:
-        return [], tight
-    reach = tight[np.ix_(linked, linked)]
-    while True:
-        as_float = reach.astype(np.float64)
-        wider = as_float @ as_float > 0
-        if np.array_equal(wider, reach):
-            break
-        reach = wider
-    mutual = reach & reach.T
-    leaders = np.flatnonzero(
-        (mutual.argmax(axis=1) == np.arange(linked.size)) & (mutual.sum(axis=1) > 1)
-    )
-    return [linked[mutual[i]] for i in leaders], tight
-
-
 def _lex_smallest_matching(allowed: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest perfect matching of the boolean k x k graph ``allowed``.
+    """Lexicographically smallest perfect matching of the boolean k x k graph ``allowed``, k <= 64.
 
     ``start`` is one perfect matching of it: row a holds column start[a]. Rows
     are fixed in ascending order. With the rows before a fixed, a perfect
     matching of the rest gives row a column c iff an alternating cycle runs
     from a through c and back to a's own column, since two perfect matchings
-    differ by such cycles. A backward breadth-first search from a's column,
+    differ by such cycles. Only a row that may take a smaller column held by
+    a later row searches: a backward breadth-first search from its column,
     over the columns that later rows hold, finds every column whose row can
-    move on along allowed edges; row a takes the smallest of them that it is
-    allowed, and the columns rotate along the search's pointers.
+    move on along allowed edges; the row takes the smallest of them that it
+    is allowed, and the columns rotate along the search's pointers.
+
+    The search runs on bit sets held as Python ints, built once: bit c of
+    ``takes[i]`` and bit i of ``admits[c]`` both say that row i may take
+    column c. Each search step is then a few integer operations per row or
+    column it reaches, not a pass over the graph, and the search stops as
+    soon as it reaches the row that holds the smallest column wanted.
     """
-    match = start.copy()
-    owner = np.empty_like(match)
-    owner[match] = np.arange(match.size)
-    for a in range(match.size - 1):
+    k = start.size
+    bits = np.uint64(1) << np.arange(k, dtype=np.uint64)
+    # Sums of distinct powers of two, so each integer product is exact.
+    takes = (allowed @ bits).tolist()
+    admits = (bits @ allowed).tolist()
+    match = start.tolist()
+    owner = [0] * k
+    for row, col in enumerate(match):
+        owner[col] = row
+    via = [0] * k
+    fixed = 0
+    for a in range(k - 1):
         own = match[a]
         # The columns below its own that row a may take, held by later rows.
-        wanted = allowed[a, :own] & (owner[:own] > a)
-        if not wanted.any():
-            continue
-        first = wanted.argmax()
-        # freed[c]: column c can be vacated, its row moving on to column via[c].
-        freed = np.zeros(match.size, dtype=bool)
-        freed[own] = True
-        via = np.empty_like(match)
-        later = np.arange(match.size) > a
-        frontier = match[a : a + 1]
-        # Once the smallest column row a may take is freed, no other can beat it.
-        while frontier.size and not freed[first]:
-            hits = allowed[:, frontier]
-            movers = hits.any(axis=1) & later & ~freed[match]
-            via[match[movers]] = frontier[hits[movers].argmax(axis=1)]
-            frontier = match[movers]
-            freed[frontier] = True
-        # The smallest column row a may take that the search freed; its own, if no other.
-        path = [int(np.argmax(freed & allowed[a]))]
-        while path[-1] != own:
-            path.append(int(via[path[-1]]))
-        rows = owner[path]
-        match[rows] = path[1:] + path[:1]
-        owner[match[rows]] = rows
-    return match
+        wanted = takes[a] & ((1 << own) - 1) & ~fixed
+        if wanted:
+            first = wanted & -wanted
+            target = owner[first.bit_length() - 1]
+            # Bit c of freed: column c can be vacated, its row moving on to column via[c].
+            freed = frontier = 1 << own
+            unreached = ((1 << k) - 1) >> (a + 1) << (a + 1)
+            while frontier:
+                movers, rest = 0, frontier
+                while rest:
+                    low = rest & -rest
+                    movers |= admits[low.bit_length() - 1]
+                    rest ^= low
+                movers &= unreached
+                # Reaching the row that holds the smallest column row a may take frees that
+                # column, and no other can beat it.
+                if movers >> target & 1:
+                    step = takes[target] & frontier
+                    via[match[target]] = (step & -step).bit_length() - 1
+                    freed |= first
+                    break
+                unreached ^= movers
+                reached = 0
+                while movers:
+                    low = movers & -movers
+                    row = low.bit_length() - 1
+                    col = match[row]
+                    step = takes[row] & frontier
+                    via[col] = (step & -step).bit_length() - 1
+                    reached |= 1 << col
+                    movers ^= low
+                frontier = reached
+                freed |= frontier
+            # The smallest column row a may take that the search freed; its own, if no other.
+            taken = wanted & freed
+            if taken:
+                path = [(taken & -taken).bit_length() - 1]
+                while path[-1] != own:
+                    path.append(via[path[-1]])
+                rows = [owner[col] for col in path]
+                for row, col in zip(rows, path[1:] + path[:1]):
+                    match[row] = col
+                    owner[col] = row
+        fixed |= 1 << match[a]
+    return np.array(match, dtype=start.dtype)
 
 
 def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """The lexicographically smallest perfect matching of the tight graph of ``indices``.
 
-    Only the rows of ``_tied_components`` can move, and only among their own
-    group's columns; groups are independent, so each takes its own smallest
-    matching. A group whose rows may each take its columns in ascending
-    order takes them, the one arrangement of them that no other beats
-    lexicographically, with no search; the others run
-    ``_lex_smallest_matching``. No float is compared but the tight test.
+    One search over the whole tight graph (``_lex_smallest_matching``): rows
+    that can trade no column keep theirs, so the graph is never split into
+    groups first. No float is compared but the tight test.
     """
-    current = indices.copy()
-    groups, tight = _tied_components(cost, indices, float(np.abs(cost).max()))
-    for group in groups:
-        order = np.argsort(indices[group])
-        cols = indices[group][order]
-        # allowed[a, b]: row group[a] may take cols[b], the column of row group[order[b]].
-        allowed = tight[np.ix_(group, group[order])]
-        if allowed.diagonal().all():
-            current[group] = cols
-        else:
-            current[group] = cols[_lex_smallest_matching(allowed, np.argsort(order))]
-    return current
+    n = cost.shape[0]
+    tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())
+    reduced = require_finite(
+        lambda: _reduced_costs(cost, indices, tol),
+        "assignment tie test overflows float64: a reduced cost "
+        "C[i, pi(i)] - C[i, pi(j)] + d_i - d_j passes about 1.8e308; rescale the inputs",
+    )
+    owner = np.empty_like(indices)
+    owner[indices] = np.arange(n)
+    # allowed[i, c]: row i may take column c, the column of row owner[c], by a tight edge.
+    return _lex_smallest_matching((reduced <= 2.0 * tol)[:, owner], indices)
 
 
 def _physical_memory_bytes() -> int:

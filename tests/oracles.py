@@ -5,6 +5,8 @@ objective here compares exactly (``==``) with one that ``lap_maximize``
 returns. ``exact_objective`` and ``lap_exact_maximum`` sum in rationals
 (``fractions.Fraction``) with no rounding at all. ``dense`` spells a dense
 cost C as the factor pair (C, I) that ``lap_maximize`` takes.
+``lex_smallest_matching`` is the numpy reference for the bit-set search of
+``shufflereg.lap._lex_smallest_matching``.
 """
 
 from __future__ import annotations
@@ -66,3 +68,45 @@ def lap_exact_maximum(cost: np.ndarray) -> Fraction:
         sum((entries[i][j] for i, j in enumerate(c)), Fraction(0))
         for c in itertools.permutations(range(n))
     )
+
+
+def lex_smallest_matching(allowed: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest perfect matching of the boolean k x k graph ``allowed``.
+
+    ``start`` is one perfect matching of it: row a holds column start[a]. Rows
+    are fixed in ascending order; each runs a backward breadth-first search
+    from its column over the columns that later rows hold, on boolean numpy
+    arrays, takes the smallest freed column it is allowed, and the columns
+    rotate along the search's pointers.
+    """
+    match = start.copy()
+    owner = np.empty_like(match)
+    owner[match] = np.arange(match.size)
+    for a in range(match.size - 1):
+        own = match[a]
+        # The columns below its own that row a may take, held by later rows.
+        wanted = allowed[a, :own] & (owner[:own] > a)
+        if not wanted.any():
+            continue
+        first = wanted.argmax()
+        # freed[c]: column c can be vacated, its row moving on to column via[c].
+        freed = np.zeros(match.size, dtype=bool)
+        freed[own] = True
+        via = np.empty_like(match)
+        later = np.arange(match.size) > a
+        frontier = match[a : a + 1]
+        # Once the smallest column row a may take is freed, no other can beat it.
+        while frontier.size and not freed[first]:
+            hits = allowed[:, frontier]
+            movers = hits.any(axis=1) & later & ~freed[match]
+            via[match[movers]] = frontier[hits[movers].argmax(axis=1)]
+            frontier = match[movers]
+            freed[frontier] = True
+        # The smallest column row a may take that the search freed; its own, if no other.
+        path = [int(np.argmax(freed & allowed[a]))]
+        while path[-1] != own:
+            path.append(int(via[path[-1]]))
+        rows = owner[path]
+        match[rows] = path[1:] + path[:1]
+        owner[match[rows]] = rows
+    return match

@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import connected_components
 import shufflereg.lap
 from shufflereg.estimators import build_onestep_cost
 from shufflereg.experiments import sigma_for_snr
-from shufflereg.lap import Assignment, _lex_smallest_matching, _tied_components, lap_maximize
+from shufflereg.lap import Assignment, _lex_smallest_matching, _reduced_costs, lap_maximize
 from shufflereg.model import (
     DistributionKind,
     Permutation,
@@ -27,12 +27,8 @@ from oracles import (
     exact_objective,
     lap_brute_force,
     lap_exact_maximum,
+    lex_smallest_matching,
 )
-
-
-def tied_components(cost, start):
-    groups, _ = _tied_components(cost, start, float(np.abs(cost).max()))
-    return groups
 
 
 def ones_with(index, value):
@@ -205,13 +201,21 @@ def count_solves(monkeypatch):
     return calls
 
 
+def tie_tolerance(cost):
+    """tol = 4 (n + 2)^2 eps max|C|, the tie test's roundoff bound (``lap._reduced_costs``)."""
+    n = cost.shape[0]
+    return 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())
+
+
 def strong_component_groups(cost, indices):
     """Reference tie test: full Bellman-Ford rounds, then scipy's strong components.
 
-    Same lengthened exchange graph, potentials and tight threshold as ``_tied_components``.
+    Same lengthened exchange graph, potentials and tight threshold as
+    ``lap._reduced_costs``; the rows of each group of two or more can trade
+    columns in some tight matching, and no other row moves.
     """
     n = cost.shape[0]
-    tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())
+    tol = tie_tolerance(cost)
     w = cost[np.arange(n), indices][:, None] - cost[:, indices] + tol / n
     d = np.zeros(n)
     for _ in range(n):
@@ -230,7 +234,7 @@ def strong_component_groups(cost, indices):
 class TestTiePassAgainstReference:
     # Rademacher designs repeat rows, so the one-step cost has exactly equal
     # columns and the optimum is tied, as in the tie benchmark workload.
-    @pytest.mark.parametrize("n,p", [(24, 3), (40, 5), (64, 8)])
+    @pytest.mark.parametrize("n,p", [(24, 3), (40, 5), (64, 3), (64, 8)])
     @pytest.mark.parametrize("snr", [10.0, None])
     def test_rademacher_one_step_costs(self, n, p, snr):
         for seed in range(20):
@@ -240,13 +244,13 @@ class TestTiePassAgainstReference:
 
     def test_noiseless_n64_costs_with_large_components(self):
         # Seeds 20-49 extend the case above. Noiseless costs are where the large
-        # components occur, which the sorted-columns try rarely settles.
+        # components occur, whose rows the matching search moves the most.
         largest = 0
         for seed in range(20, 50):
             left, right = rademacher_one_step_factors(64, 8, None, seed)
             cost = left @ right.T
             _, start = linear_sum_assignment(-cost)
-            largest = max([largest] + [g.size for g in tied_components(cost, start)])
+            largest = max([largest] + [len(g) for g in strong_component_groups(cost, start)])
             expected = per_candidate_canonical(cost)
             assert np.array_equal(lap_maximize(left, right).perm.indices, expected), seed
         assert largest >= 20
@@ -261,33 +265,11 @@ class TestTiePassAgainstReference:
         left = rng.standard_normal((n, 3))
         cost = left @ right.T
         _, start = linear_sum_assignment(-cost)
-        assert tied_components(cost, start)
+        assert strong_component_groups(cost, start)
         result = lap_maximize(left, right)
-        # Each tied group is settled by its sorted columns, with no re-solve.
+        # Each tied group is settled by the matching search, with no re-solve.
         assert calls == [(n, n)]
         assert np.array_equal(result.perm.indices, per_candidate_canonical(cost))
-
-    @pytest.mark.parametrize("snr", [10.0, None])
-    def test_tied_components_match_scipy_strong_components(self, snr):
-        for seed in range(20):
-            left, right = rademacher_one_step_factors(64, 8, snr, seed)
-            cost = left @ right.T
-            _, start = linear_sum_assignment(-cost)
-            found = [g.tolist() for g in tied_components(cost, start)]
-            assert found == strong_component_groups(cost, start), seed
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        hnp.arrays(
-            np.float64,
-            st.integers(1, 12).map(lambda n: (n, n)),
-            elements=st.integers(-2, 2).map(float),
-        )
-    )
-    def test_tied_components_match_scipy_on_small_integer_costs(self, cost):
-        _, start = linear_sum_assignment(-cost)
-        found = [g.tolist() for g in tied_components(cost, start)]
-        assert found == strong_component_groups(cost, start)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -320,7 +302,7 @@ class TestTiePassAgainstReference:
             left, right = build_onestep_cost(inst.x, inst.y)
             cost = left @ right.T
             _, start = linear_sum_assignment(-cost)
-            groups = tied_components(cost, start)
+            groups = strong_component_groups(cost, start)
             canonical = per_candidate_canonical(cost)
             in_group = np.zeros(64, dtype=bool)
             for group in groups:
@@ -333,19 +315,17 @@ class TestTiePassAgainstReference:
         # graph keeps a negative cycle and Bellman-Ford never settles: no edge is tight, no
         # row is flagged, and the pass keeps the start it was given.
         cost, start = np.eye(3), np.array([1, 0, 2])
-        groups, tight = _tied_components(cost, start, 1.0)
-        assert groups == []
-        assert not tight.any()
+        tol = tie_tolerance(cost)
+        assert not (_reduced_costs(cost, start, tol) <= 2.0 * tol).any()
         assert np.array_equal(shufflereg.lap._lexicographically_canonical(cost, start), start)
 
 
 def roundoff_bound(cost):
     """(2n + 1) tol: how far below the exact maximum a tight matching may sum.
 
-    The bound is derived in ``lap._tied_components``.
+    The bound is derived in ``lap._reduced_costs``.
     """
-    n = cost.shape[0]
-    return (2 * n + 1) * 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())
+    return (2 * cost.shape[0] + 1) * tie_tolerance(cost)
 
 
 class TestNearTies:
@@ -412,6 +392,25 @@ class TestNearTies:
         first = next(c for c in itertools.permutations(rows) if allowed[rows, c].all())
         assert tuple(_lex_smallest_matching(allowed, start).tolist()) == first
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 64).flatmap(
+            lambda k: st.tuples(
+                st.permutations(range(k)).map(np.array),
+                st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 0.7]),
+                st.integers(0, 2**32 - 1),
+            )
+        )
+    )
+    def test_bit_set_search_matches_the_numpy_reference(self, case):
+        start, density, seed = case
+        k = start.size
+        allowed = np.random.default_rng(seed).random((k, k)) < density
+        allowed[np.arange(k), start] = True
+        found = _lex_smallest_matching(allowed, start)
+        assert np.array_equal(found, lex_smallest_matching(allowed, start))
+        assert allowed[np.arange(k), found].all()
+
     @pytest.mark.parametrize("p", [3, 8])
     def test_tied_costs_take_one_solve(self, monkeypatch, p):
         # Noiseless Rademacher costs at n = 64 have tied groups that span several distinct
@@ -421,7 +420,7 @@ class TestNearTies:
             left, right = rademacher_one_step_factors(64, p, None, seed)
             cost = left @ right.T
             _, start = linear_sum_assignment(-cost)
-            assert tied_components(cost, start)
+            assert strong_component_groups(cost, start)
             lap_maximize(left, right)
         assert calls == [(64, 64)] * 5
 

@@ -1,7 +1,9 @@
 """Metamorphic tests: exact symmetries of the model, checked without an oracle.
 
 One-step's cost Y Y^T X X^T does not change under X -> X Q or Y -> Y R for
-orthogonal Q and R, and then B_hat maps to Q^T B_hat or B_hat R. The oracle's
+orthogonal Q and R, and then B_hat maps to Q^T B_hat or B_hat R. Under
+X -> X Q each fit X B_hat of alternating minimization stays the same, so its
+permutations do, and ``solve`` writes the same permutation file. The oracle's
 cost Y (X B)^T relabels exactly under row permutations t of X and u of Y
 (Chen et al., "Metamorphic Testing: A Review of Challenges and
 Opportunities", ACM Computing Surveys 2018). The designs are continuous, so
@@ -9,10 +11,17 @@ the optimum is unique and a symmetry may not move it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflereg.estimators import one_step_estimate, oracle_permutation_estimate
+from shufflereg.cli import main
+from shufflereg.estimators import (
+    alternating_minimization,
+    one_step_estimate,
+    oracle_permutation_estimate,
+)
+from shufflereg.matrixio import write_matrix
 from shufflereg.metrics import sigma_for_snr
 from shufflereg.model import DistributionKind, build_canonical_signal, synthesize_instance
 
@@ -71,3 +80,31 @@ def test_one_step_is_unchanged_by_rotating_the_observations(case):
     base, rotated = one_step_estimate(x, y), one_step_estimate(x, y @ r)
     assert rotated.perm_hat == base.perm_hat
     assert_close(rotated.b_hat, base.b_hat @ r)
+
+
+@settings(max_examples=50, deadline=None)
+@given(instances())
+def test_alternating_minimization_is_unchanged_by_rotating_the_design(case):
+    x, y, _, rng = case
+    q = orthogonal(rng, x.shape[1])
+    base = alternating_minimization(x, y, max_iters=5)
+    rotated = alternating_minimization(x @ q, y, max_iters=5)
+    # Each fit X B_hat, the next iteration's matching direction, is the same up to roundoff.
+    assert [r.perm for r in rotated.trace] == [r.perm for r in base.trace]
+    assert_close(q @ rotated.b_hat, base.b_hat)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_writes_the_same_permutation_file_for_a_rotated_design(tmp_path, seed):
+    inst = synthesize_instance(
+        60, 4, 3, 15, DistributionKind.GAUSSIAN, build_canonical_signal(4, 3, 1.0), 0.3, seed
+    )
+    q = orthogonal(np.random.default_rng(seed), 4)
+    write_matrix(inst.y, tmp_path / "y.txt")
+    for name, x in (("x", inst.x), ("xq", inst.x @ q)):
+        write_matrix(x, tmp_path / f"{name}.txt")
+        args = ["solve", "--x", str(tmp_path / f"{name}.txt"), "--y", str(tmp_path / "y.txt"),
+                "--out-perm", str(tmp_path / f"{name}_perm.txt"),
+                "--out-b", str(tmp_path / f"{name}_b.txt")]
+        assert main(args) == 0
+    assert (tmp_path / "xq_perm.txt").read_bytes() == (tmp_path / "x_perm.txt").read_bytes()

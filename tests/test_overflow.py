@@ -62,7 +62,7 @@ class TestAssignmentObjective:
         def unreachable(*args):
             raise AssertionError("the tie pass ran on an overflowing objective")
 
-        monkeypatch.setattr(shufflereg.lap, "_tied_components", unreachable)
+        monkeypatch.setattr(shufflereg.lap, "_reduced_costs", unreachable)
         factor = np.full((30, 1), 1e154)
         with pytest.raises(ValueError, match=OBJECTIVE):
             lap_maximize(factor, factor)
