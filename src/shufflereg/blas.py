@@ -13,73 +13,57 @@ otherwise depend on the machine's core count; a sweep also keeps BLAS threads
 from competing with its own trial workers. The setting is process-wide:
 other threads that call BLAS meanwhile are single-threaded too.
 
-The builds are found through ``/proc/self/maps`` on first use, never at
-import, and cached. Where none is found (another platform or BLAS vendor),
-``single_threaded()`` does nothing. Nested and concurrent uses share one
-depth counter, so the caller's counts are saved by the first to enter and
-restored once, by the last to leave.
+The two symbols are looked up once, at import, in numpy's linalg extension:
+the dynamic loader resolves them through that extension's own dependencies,
+so they belong to the build that serves numpy's lstsq, SVD and ``@``.
+``_threads`` is that ``(get, set)`` pair, or ``None`` where the lookup fails
+(another BLAS vendor, or a platform whose loader does not search an
+extension's dependencies); ``single_threaded()`` then does nothing. Nested and
+concurrent uses share one depth counter, so the caller's count is saved by
+the first to enter and restored once, by the last to leave.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import threading
-from typing import Callable, NamedTuple
 
-# Thread-count symbols of numpy's ILP64 build.
-_GET, _SET = "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"
+
+def _lookup():
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+_threads = _lookup()
 
 _lock = threading.Lock()
 _depth = 0
-_saved: list[tuple[Callable[[int], None], int]] = []
-
-
-class OpenBlasBuild(NamedTuple):
-    path: str
-    get_threads: Callable[[], int]
-    set_threads: Callable[[int], None]
-
-
-@functools.cache
-def openblas_builds() -> tuple[OpenBlasBuild, ...]:
-    """Every OpenBLAS build loaded in this process that exports numpy's thread-count symbols."""
-    try:
-        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
-        return ()
-    builds = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        if hasattr(lib, _GET) and hasattr(lib, _SET):
-            get, set_ = getattr(lib, _GET), getattr(lib, _SET)
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            builds.append(OpenBlasBuild(path, get, set_))
-    return tuple(builds)
+_saved = 0
 
 
 @contextlib.contextmanager
 def single_threaded():
     """Run the body with numpy's OpenBLAS build at one thread."""
-    global _depth
+    global _depth, _saved
     with _lock:
-        if _depth == 0:
-            for build in openblas_builds():
-                _saved.append((build.set_threads, build.get_threads()))
-                build.set_threads(1)
+        if _depth == 0 and _threads is not None:
+            _saved = _threads[0]()
+            _threads[1](1)
         _depth += 1
     try:
         yield
     finally:
         with _lock:
             _depth -= 1
-            if _depth == 0:
-                while _saved:
-                    set_threads, count = _saved.pop()
-                    set_threads(count)
+            if _depth == 0 and _threads is not None:
+                _threads[1](_saved)

@@ -112,7 +112,8 @@ def cmd_diagnose(args) -> int:
     b = read_matrix(args.b)
     # Every value is computed before the first line is printed, so a failure leaves stdout empty.
     srank = stable_rank(b)
-    logdet = logdet_ratio(b, args.sigma, args.n) * math.log(args.n) if args.sigma > 0 else None
+    logdet_over_log_n = logdet_ratio(b, args.sigma, args.n) if args.sigma > 0 else None
+    logdet = logdet_over_log_n * math.log(args.n) if args.sigma > 0 else None
     ratio = snr(b, b.shape[1], args.sigma)
     regime = classify_regime(srank, args.n)
     threshold = minimax_logdet_threshold(args.n)
@@ -125,7 +126,7 @@ def cmd_diagnose(args) -> int:
         return EXIT_OK
     print(f"snr = {ratio:.12g}")
     print(f"logdet = {logdet:.12g}")
-    print(f"logdet_over_log_n = {logdet / math.log(args.n):.12g}")
+    print(f"logdet_over_log_n = {logdet_over_log_n:.12g}")
     if logdet < threshold:
         print("below minimax threshold: recovery information-theoretically unreliable")
     return EXIT_OK

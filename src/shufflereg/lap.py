@@ -221,8 +221,8 @@ def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray) -> np.nd
     """The lexicographically smallest perfect matching of the tight graph of ``indices``.
 
     One search over the whole tight graph (``_lex_smallest_matching``): rows
-    that can trade no column keep theirs, so the graph is never split into
-    groups first. No float is compared but the tight test.
+    that can trade no column keep theirs. No float is compared but the tight
+    test.
     """
     n = cost.shape[0]
     tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())

@@ -1,5 +1,12 @@
 """OpenBLAS thread control around sweeps (shufflereg.blas)."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,24 +25,22 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def counts(builds):
-    return [build.get_threads() for build in builds]
+def count(pair):
+    return pair[0]()
 
 
-def set_counts(builds, values):
-    for build, value in zip(builds, values):
-        build.set_threads(value)
+def set_count(pair, value):
+    pair[1](value)
 
 
 @pytest.fixture
-def builds():
-    """The loaded OpenBLAS builds; their thread counts are put back after the test."""
-    found = blas.openblas_builds()
-    if not found:
-        pytest.skip("no OpenBLAS build with thread-count symbols is loaded")
-    before = counts(found)
-    yield found
-    set_counts(found, before)
+def pair():
+    """numpy's OpenBLAS (get, set) thread-count pair; its count is put back after the test."""
+    if blas._threads is None:
+        pytest.skip("numpy's OpenBLAS thread-count symbols were not found")
+    before = count(blas._threads)
+    yield blas._threads
+    set_count(blas._threads, before)
 
 
 def test_discovers_numpy_openblas():
@@ -45,71 +50,114 @@ def test_discovers_numpy_openblas():
         pytest.skip("numpy does not report its BLAS build")
     if "openblas" not in blas_name:
         pytest.skip(f"numpy uses {blas_name}, not OpenBLAS")
-    assert any("openblas64_" in build.path for build in blas.openblas_builds())
+    assert blas._threads is not None
+    get, _ = blas._threads
+    assert get() >= 1
+
+
+FRESH_PROCESS_PROBE = textwrap.dedent(
+    """
+    import json
+    import numpy as np
+    from shufflereg import blas, estimators
+    from shufflereg.model import DistributionKind, build_canonical_signal, synthesize_instance
+
+    get, _ = blas._threads
+    at_import = get()
+    seen = []
+    real = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return real(*args, **kwargs)
+
+    np.linalg.lstsq = spy
+    b = build_canonical_signal(3, 2, 1.0)
+    inst = synthesize_instance(40, 3, 2, 10, DistributionKind.GAUSSIAN, b, 0.1, 1)
+    estimators.one_step_estimate(inst.x, inst.y)
+    print(json.dumps([at_import, seen, get()]))
+    """
+)
+
+
+def test_fresh_process_pins_the_count_the_environment_set(pair):
+    # OpenBLAS caps OPENBLAS_NUM_THREADS at the CPU count, so 2 is the largest count that
+    # every machine with two CPUs reads back; nothing in the probe sets a count before the pin.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if cpus < 2:
+        pytest.skip("OpenBLAS runs one thread on one CPU, so the pin cannot be seen")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="2",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [2, [1], 2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_trials_see_one_thread(builds, monkeypatch, workers):
+def test_trials_see_one_thread(pair, monkeypatch, workers):
     seen = []
     real = experiments.one_step_estimate
 
     def spy(x, y):
-        seen.append(tuple(counts(builds)))
+        seen.append(count(pair))
         return real(x, y)
 
     monkeypatch.setattr(experiments, "one_step_estimate", spy)
-    set_counts(builds, [2] * len(builds))
+    set_count(pair, 2)
     cfg = small_config(workers=workers)
     run_sweep(cfg)
     assert len(seen) == cfg.trials * len(cfg.snr_grid)
-    assert set(seen) == {(1,) * len(builds)}
+    assert set(seen) == {1}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_caller_counts_restored(builds, workers):
-    caller = [2 + i for i in range(len(builds))]
-    set_counts(builds, caller)
+def test_caller_counts_restored(pair, workers):
+    set_count(pair, 2)
     run_sweep(small_config(workers=workers))
-    assert counts(builds) == caller
+    assert count(pair) == 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_caller_counts_restored_when_trial_raises(builds, monkeypatch, workers):
+def test_caller_counts_restored_when_trial_raises(pair, monkeypatch, workers):
     def boom(x, y):
         raise RuntimeError("not caught by run_trial")
 
     monkeypatch.setattr(experiments, "one_step_estimate", boom)
-    caller = [2 + i for i in range(len(builds))]
-    set_counts(builds, caller)
+    set_count(pair, 2)
     with pytest.raises(RuntimeError, match="not caught"):
         run_sweep(small_config(workers=workers))
-    assert counts(builds) == caller
+    assert count(pair) == 2
 
 
-def test_overlapping_uses_restore_once(builds):
-    caller = [2 + i for i in range(len(builds))]
-    set_counts(builds, caller)
+def test_overlapping_uses_restore_once(pair):
+    set_count(pair, 2)
     first, second = blas.single_threaded(), blas.single_threaded()
     first.__enter__()
     second.__enter__()
     try:
         first.__exit__(None, None, None)
-        after_first = counts(builds)
+        after_first = count(pair)
     finally:
         second.__exit__(None, None, None)
-    assert after_first == [1] * len(builds)
-    assert counts(builds) == caller
+    assert after_first == 1
+    assert count(pair) == 2
 
 
-def test_nothing_found_is_a_no_op(builds, monkeypatch):
+def test_nothing_found_is_a_no_op(pair, monkeypatch):
     cfg = small_config(workers=2)
     expected = format_csv(run_sweep(cfg))
-    set_counts(builds, [1] * len(builds))
-    monkeypatch.setattr(blas, "openblas_builds", lambda: ())
+    set_count(pair, 1)
+    monkeypatch.setattr(blas, "_threads", None)
     assert format_csv(run_sweep(cfg)) == expected
 
 
-def test_csv_independent_of_caller_thread_count(builds):
+def test_csv_independent_of_caller_thread_count(pair):
     # At n=500, p=m=50 the least-squares solve and products are large enough for
     # OpenBLAS to split across threads, which changes their roundoff.
     cfg = ExperimentConfig(
@@ -117,7 +165,7 @@ def test_csv_independent_of_caller_thread_count(builds):
     )
     outputs = set()
     for caller in (1, 2):
-        set_counts(builds, [caller] * len(builds))
+        set_count(pair, caller)
         outputs.add(format_csv(run_sweep(cfg)))
     assert len(outputs) == 1
 
@@ -152,7 +200,7 @@ ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
-def test_entry_points_see_one_thread_and_restore_the_callers(builds, monkeypatch, name):
+def test_entry_points_see_one_thread_and_restore_the_callers(pair, monkeypatch, name):
     seen = []
     inst = instance()
 
@@ -160,7 +208,7 @@ def test_entry_points_see_one_thread_and_restore_the_callers(builds, monkeypatch
         real = getattr(module, attr)
 
         def wrapper(*args, **kwargs):
-            seen.append(tuple(counts(builds)))
+            seen.append(count(pair))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, wrapper)
@@ -173,20 +221,19 @@ def test_entry_points_see_one_thread_and_restore_the_callers(builds, monkeypatch
     spy(np.linalg, "norm")
     spy(model, "sample_design_matrix")
     spy(estimators, "require_matrix")
-    caller = [2 + i for i in range(len(builds))]
-    set_counts(builds, caller)
+    set_count(pair, 2)
     ENTRY_POINTS[name](inst)
-    assert seen and set(seen) == {(1,) * len(builds)}
-    assert counts(builds) == caller
+    assert seen and set(seen) == {1}
+    assert count(pair) == 2
 
 
-def test_estimates_independent_of_caller_thread_count(builds):
+def test_estimates_independent_of_caller_thread_count(pair):
     # At n=500, p=m=50 the least-squares solve splits across OpenBLAS threads when it may, which
     # changes its roundoff; the estimators pin one thread, so the bytes agree.
     inst = instance(n=500, p=50, m=50)
     outputs = set()
     for caller in (1, 2):
-        set_counts(builds, [caller] * len(builds))
+        set_count(pair, caller)
         result = estimators.one_step_estimate(inst.x, inst.y)
         outputs.add(result.perm_hat.indices.tobytes() + result.b_hat.tobytes())
     assert len(outputs) == 1
