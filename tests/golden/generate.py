@@ -1,9 +1,8 @@
 """Generate the golden-output corpus of the CLI, or check it byte for byte.
 
-    python tests/golden/generate.py            rewrite tests/golden/corpus
-    python tests/golden/generate.py --out DIR  write the corpus to DIR instead
-    python tests/golden/generate.py --bytes    regenerate in a temporary directory and
-                                               compare every file with tests/golden/corpus
+    python tests/golden/generate.py           rewrite tests/golden/corpus
+    python tests/golden/generate.py --bytes   regenerate in a temporary directory and
+                                              compare every file with tests/golden/corpus
 
 Each case writes its inputs (configs and matrix files), runs one ``shufflereg``
 command in process through ``shufflereg.cli.main`` inside the output
@@ -159,10 +158,8 @@ def byte_differences(fresh: Path, committed: Path) -> list[str]:
 
 def cli(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--out", type=Path, help="write the corpus to this directory")
-    group.add_argument("--bytes", action="store_true",
-                       help="compare a fresh corpus with the committed one, byte for byte")
+    parser.add_argument("--bytes", action="store_true",
+                        help="compare a fresh corpus with the committed one, byte for byte")
     args = parser.parse_args(argv)
     if args.bytes:
         with tempfile.TemporaryDirectory() as tmp:
@@ -172,12 +169,10 @@ def cli(argv=None) -> int:
             print(f"differs: {name}")
         print(f"{len(differ)} file(s) differ from {CORPUS}")
         return 1 if differ else 0
-    out = args.out or CORPUS
-    if out == CORPUS and out.exists():
-        for path in out.iterdir():
-            path.unlink()
-    out.mkdir(parents=True, exist_ok=True)
-    generate(out)
+    CORPUS.mkdir(exist_ok=True)
+    for path in CORPUS.iterdir():
+        path.unlink()
+    generate(CORPUS)
     return 0
 
 
