@@ -114,7 +114,7 @@ def cmd_diagnose(args) -> int:
     srank = stable_rank(b)
     logdet_over_log_n = logdet_ratio(b, args.sigma, args.n) if args.sigma > 0 else None
     logdet = logdet_over_log_n * math.log(args.n) if args.sigma > 0 else None
-    ratio = snr(b, b.shape[1], args.sigma)
+    ratio = snr(b, args.sigma)
     regime = classify_regime(srank, args.n)
     threshold = minimax_logdet_threshold(args.n)
     print(f"stable_rank = {srank:.12g}")

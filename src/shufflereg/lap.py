@@ -55,6 +55,10 @@ _OBJECTIVE_OVERFLOWS = (
     "assignment objective sum_i C[i, pi(i)] overflows float64 (above about 1.8e308); "
     "rescale the inputs"
 )
+_TIE_TEST_OVERFLOWS = (
+    "assignment tie test overflows float64: a reduced cost "
+    "C[i, pi(i)] - C[i, pi(j)] + d_i - d_j passes about 1.8e308; rescale the inputs"
+)
 
 
 @dataclass(frozen=True)
@@ -77,20 +81,22 @@ def _canonical_sum(entries: np.ndarray) -> float:
 
 
 def _reduced_costs(cost: np.ndarray, indices: np.ndarray, tol: float) -> np.ndarray:
-    """Reduced costs r = w + tol / n + d_i - d_j of pi's lengthened exchange graph.
+    """Reduced costs r[i, c] = w[i, c] + tol/n + d[pi(i)] - d[c] of pi's lengthened exchange graph.
 
-    Exchange graph of the solver's optimum pi: the edge i -> j weighs
-    w[i, j] = C[i, pi(i)] - C[i, pi(j)], the loss when row i takes row j's
-    column. Another assignment sigma differs from pi by disjoint cycles of
-    this graph, which weigh sum(pi) - sum(sigma) in all (Burkard, Dell'Amico
-    & Martello, *Assignment Problems*, 2009). Every edge is lengthened by
-    l = tol / n, so a cycle gains at most tol: the negative cycle a few ulps
-    deep that a floating-point optimum can leave turns positive. Bellman-Ford
-    from a virtual source then gives potentials d with reduced costs
-    r = w + l + d_i - d_j, at least zero up to roundoff, that sum to the
-    lengthened weight around any cycle. The edge i -> j is *tight* when
-    r <= 2 tol; once d settles, the diagonal is. Every assignment that uses
-    only tight edges differs from pi by cycles of tight edges.
+    Exchange graph of the solver's optimum pi, one node per row: the edge from
+    row i to the row that holds column c weighs w[i, c] = C[i, pi(i)] - C[i, c],
+    the loss when row i takes column c. Another assignment sigma differs from
+    pi by disjoint cycles of this graph, which weigh sum(pi) - sum(sigma) in
+    all (Burkard, Dell'Amico & Martello, *Assignment Problems*, 2009). Every
+    edge is lengthened by l = tol / n, so a cycle gains at most tol: the
+    negative cycle a few ulps deep that a floating-point optimum can leave
+    turns positive. Bellman-Ford from a virtual source then gives each row a
+    potential, d[c] for the row that holds column c, with reduced costs
+    r[i, c] = w[i, c] + l + d[pi(i)] - d[c], at least zero up to roundoff, that
+    sum to the lengthened weight around any cycle. Row i taking column c is
+    *tight* when r[i, c] <= 2 tol; once d settles, each row's own column is.
+    Every assignment that uses only tight edges differs from pi by cycles of
+    tight edges.
 
     Bellman-Ford starts from the first round, d = min(min_i w[i, :], 0), and
     each later round relaxes only from the rows whose potential the round
@@ -102,39 +108,41 @@ def _reduced_costs(cost: np.ndarray, indices: np.ndarray, tol: float) -> np.ndar
 
     ``tol`` = 4 (n + 2)^2 eps M bounds roundoff, with u = eps / 2, M = max|C|
     and correctly rounded objectives. To first order in u: each computed w is
-    within 4uM of w + l, and the diagonal is exactly l; d lies in [-2nM, 0];
-    once d settles, d_j <= fl(d_i + w_ij), so every reduced cost r* taken
-    exactly from the computed w and d is at least -(2n + 2) u M, and the
-    computed r is within (4n + 4) u M of r*. Around the rows of any
-    assignment sigma the r* sum to sum(pi) - sum(sigma) + n l, up to 4uM per
-    moved row. Two facts follow. (1) Every sigma whose correctly rounded
-    objective is at least pi's, an exact optimum among them, uses only tight
-    edges: its exact sum is at most 2nuM below pi's, so none of its edges has
-    r above tol + (2n^2 + 10n + 2) u M <= 2 tol. (2) Every assignment tau
-    that uses only tight edges is within (2n + 1) tol of the exact maximum:
-    for any sigma, sum(sigma) - sum(tau) is the r* over tau's edges minus
-    those over sigma's, up to 8nuM, at most 2n tol + (6n^2 + 14n) u M. Both
-    hold for every n >= 1, since tol = (8n^2 + 32n + 32) u M, with room for
-    the higher-order terms.
+    within 4uM of w + l, and each row's own column is exactly l; d lies in
+    [-2nM, 0]; once d settles, d[c] <= fl(d[pi(i)] + w[i, c]), so every
+    reduced cost r* taken exactly from the computed w and d is at least
+    -(2n + 2) u M, and the computed r is within (4n + 4) u M of r*. Around the
+    rows of any assignment sigma the r* sum to sum(pi) - sum(sigma) + n l, up
+    to 4uM per moved row. Two facts follow. (1) Every sigma whose correctly
+    rounded objective is at least pi's, an exact optimum among them, uses only
+    tight edges: its exact sum is at most 2nuM below pi's, so none of its
+    edges has r above tol + (2n^2 + 10n + 2) u M <= 2 tol. (2) Every
+    assignment tau that uses only tight edges is within (2n + 1) tol of the
+    exact maximum: for any sigma, sum(sigma) - sum(tau) is the r* over tau's
+    edges minus those over sigma's, up to 8nuM, at most 2n tol + (6n^2 + 14n)
+    u M. Both hold for every n >= 1, since tol = (8n^2 + 32n + 32) u M, with
+    room for the higher-order terms.
     """
     n = cost.shape[0]
-    held = cost[np.arange(n), indices]
-    w = held[:, None] - cost[:, indices]
+    w = cost[np.arange(n), indices][:, None] - cost
     w += tol / n
+    # owner[c]: the row that holds column c, whose potential is d[c].
+    owner = np.empty_like(indices)
+    owner[indices] = np.arange(n)
     # The virtual source offers 0 to every row, so d <= 0 and the rows below zero changed.
     d = np.minimum(w.min(axis=0), 0.0)
     changed = np.flatnonzero(d)
     for _ in range(n - 1):
         if not changed.size:
             break
-        offers = w[changed]
+        offers = w[owner[changed]]
         offers += d[changed, None]
         relaxed = offers.min(axis=0)
         changed = np.flatnonzero(relaxed < d)
         d[changed] = relaxed[changed]
     if changed.size:
         return np.full((n, n), np.finfo(np.float64).max)
-    return w + d[:, None] - d[None, :]
+    return w + d[indices, None] - d
 
 
 def _lex_smallest_matching(allowed: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -217,26 +225,6 @@ def _lex_smallest_matching(allowed: np.ndarray, start: np.ndarray) -> np.ndarray
     return np.array(match, dtype=start.dtype)
 
 
-def _lexicographically_canonical(cost: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """The lexicographically smallest perfect matching of the tight graph of ``indices``.
-
-    One search over the whole tight graph (``_lex_smallest_matching``): rows
-    that can trade no column keep theirs. No float is compared but the tight
-    test.
-    """
-    n = cost.shape[0]
-    tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())
-    reduced = require_finite(
-        lambda: _reduced_costs(cost, indices, tol),
-        "assignment tie test overflows float64: a reduced cost "
-        "C[i, pi(i)] - C[i, pi(j)] + d_i - d_j passes about 1.8e308; rescale the inputs",
-    )
-    owner = np.empty_like(indices)
-    owner[indices] = np.arange(n)
-    # allowed[i, c]: row i may take column c, the column of row owner[c], by a tight edge.
-    return _lex_smallest_matching((reduced <= 2.0 * tol)[:, owner], indices)
-
-
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
@@ -275,6 +263,10 @@ def lap_maximize(left, right) -> Assignment:
     # first, so an objective that overflows is refused before the tie test runs.
     objective = _canonical_sum(-neg[rows, indices])
     if n <= LEX_TIEBREAK_MAX_N:
-        indices = _lexicographically_canonical(-neg, indices)
-        objective = _canonical_sum(-neg[rows, indices])
+        cost = -neg
+        tol = 4.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(cost).max())
+        reduced = require_finite(lambda: _reduced_costs(cost, indices, tol), _TIE_TEST_OVERFLOWS)
+        # allowed[i, c]: row i may take column c by a tight edge.
+        indices = _lex_smallest_matching(reduced <= 2.0 * tol, indices)
+        objective = _canonical_sum(cost[rows, indices])
     return Assignment(Permutation(indices), objective)

@@ -94,14 +94,12 @@ def _times_count(m: int, value: float) -> float:
         raise ValueError(f"m of about 1e{math.log10(m):.0f} overflows double precision") from None
 
 
-def snr(b, m: int, sigma: float) -> float:
-    """||B||_F^2 / (m * sigma^2); NOISELESS when sigma = 0.
+def snr(b, sigma: float) -> float:
+    """||B||_F^2 / (m * sigma^2), with m the column count of B; NOISELESS when sigma = 0.
 
     B and sigma are split into mantissa and power of two, so a value below
     the double range rounds toward 0 and one above it raises ValueError.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     if not sigma >= 0:  # nan fails every comparison, so test for the valid range
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     scaled, exponent = _mantissa(require_matrix(b, "b"))
@@ -109,7 +107,7 @@ def snr(b, m: int, sigma: float) -> float:
         return NOISELESS
     total = float(np.sum(scaled * scaled))
     mantissa, sigma_exponent = math.frexp(sigma)
-    denominator = _times_count(m, mantissa) * mantissa
+    denominator = scaled.shape[1] * mantissa * mantissa
     what = f"snr at sigma={sigma:g} {_OVERFLOWS}"
     return _ldexp_finite(total / denominator, 2 * (exponent - sigma_exponent), what)
 

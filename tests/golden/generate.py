@@ -8,10 +8,17 @@ Each case writes its inputs (configs and matrix files), runs one ``shufflereg``
 command in process through ``shufflereg.cli.main`` inside the output
 directory, so that file names in error lines are relative, and records the
 command, exit code, stdout and stderr in ``<case>.txt`` beside the files the
-command wrote. The cases are sweeps of three estimators on Gaussian and
-Rademacher designs (n <= 64, so the tie rule runs), two ``solve`` pairs, one of
-them noiseless Rademacher and built to tie, ``demo-failure``, ``diagnose`` on
-six signals and eight refusals from CI.
+command wrote. The cases are:
+
+- sweeps of one-step, the oracle, alt_min(3) and alt_min(25) on Gaussian and
+  Rademacher designs at two shapes with n <= 64, so the tie rule runs, and a
+  one-step sweep on a Gaussian design at n = 200;
+- ``solve`` on three pairs: Gaussian, noiseless Rademacher built to tie, and
+  the Gaussian pair with one observation row repeated;
+- ``demo-failure`` and ``diagnose`` on six signals;
+- nine refusals, each with its exit code and ``error:`` line: a short row, a
+  missing file, a direction that overflows or is zero, a zero cost, a signal
+  estimate that overflows, a log-det that overflows, and two bad configs.
 
 ``tests/test_golden.py`` compares a fresh corpus with the committed one
 allowing a relative 1e-9 on floats, since another OpenBLAS kernel may round
@@ -41,7 +48,10 @@ from shufflereg.model import DistributionKind, build_canonical_signal, synthesiz
 CORPUS = Path(__file__).resolve().parent / "corpus"
 
 SHAPES = [(40, 3, 5, 10), (64, 4, 2, 20)]  # (n, p, m, h)
-ESTIMATORS = {"one_step": "one_step", "oracle_perm": "oracle_perm", "alt_min3": "alt_min(3)"}
+ESTIMATORS = {
+    "one_step": "one_step", "oracle_perm": "oracle_perm", "alt_min3": "alt_min(3)",
+    "alt_min25": "alt_min(25)",
+}
 DESIGNS = ["gaussian", "rademacher"]
 
 
@@ -57,30 +67,43 @@ def run(case: str, *argv: str) -> None:
     )
 
 
+def sweep(tag: str, estimator: str, design: str, n: int, p: int, m: int, h: int) -> None:
+    case = f"sweep_{tag}_{design}_{n}x{p}x{m}"
+    Path(f"{case}.cfg").write_text(
+        f"n = {n}\np = {p}\nm = {m}\nh = {h}\ndist = {design}\ntrials = 4\n"
+        f"snr_grid = 0.5, 3, 30, noiseless\nestimator = {estimator}\nmaster_seed = 5\n"
+    )
+    run(case, "simulate", "--config", f"{case}.cfg", "--out", f"{case}.csv")
+
+
 def sweeps() -> None:
-    for n, p, m, h in SHAPES:
+    for shape in SHAPES:
         for design in DESIGNS:
             for tag, estimator in ESTIMATORS.items():
-                case = f"sweep_{tag}_{design}_{n}x{p}x{m}"
-                Path(f"{case}.cfg").write_text(
-                    f"n = {n}\np = {p}\nm = {m}\nh = {h}\ndist = {design}\ntrials = 4\n"
-                    f"snr_grid = 0.5, 3, 30, noiseless\nestimator = {estimator}\nmaster_seed = 5\n"
-                )
-                run(case, "simulate", "--config", f"{case}.cfg", "--out", f"{case}.csv")
+                sweep(tag, estimator, design, *shape)
+    # Past n = 64 a Rademacher cost ties, and scipy's pick among tied optima follows bits
+    # that another OpenBLAS kernel may round differently, so this shape is Gaussian only.
+    sweep("one_step", "one_step", "gaussian", 200, 10, 4, 50)
 
 
 def solves() -> None:
+    gaussian = synthesize_instance(
+        40, 3, 3, 10, DistributionKind.GAUSSIAN, build_canonical_signal(3, 3, 1.0), 0.5, 7
+    )
+    tie = synthesize_instance(
+        64, 4, 4, 64, DistributionKind.RADEMACHER, build_canonical_signal(4, 4, 1.0), 0.0, 3
+    )
+    # Rows 4 and 25 of Y are equal, so they trade columns at no loss and row 4 takes the smaller.
+    repeated = gaussian.y.copy()
+    repeated[25] = repeated[4]
     pairs = {
-        "solve_gaussian_40x3": synthesize_instance(
-            40, 3, 3, 10, DistributionKind.GAUSSIAN, build_canonical_signal(3, 3, 1.0), 0.5, 7
-        ),
-        "solve_rademacher_tie_64x4": synthesize_instance(
-            64, 4, 4, 64, DistributionKind.RADEMACHER, build_canonical_signal(4, 4, 1.0), 0.0, 3
-        ),
+        "solve_gaussian_40x3": (gaussian.x, gaussian.y),
+        "solve_rademacher_tie_64x4": (tie.x, tie.y),
+        "solve_repeated_row_40x3": (gaussian.x, repeated),
     }
-    for case, inst in pairs.items():
-        write_matrix(inst.x, f"{case}_x.txt")
-        write_matrix(inst.y, f"{case}_y.txt")
+    for case, (x, y) in pairs.items():
+        write_matrix(x, f"{case}_x.txt")
+        write_matrix(y, f"{case}_y.txt")
         run(case, "solve", "--x", f"{case}_x.txt", "--y", f"{case}_y.txt",
             "--out-perm", f"{case}_perm.txt", "--out-b", f"{case}_b.txt")
 
@@ -130,6 +153,13 @@ def refusals() -> None:
     for case, text in configs.items():
         Path(f"{case}.cfg").write_text(text)
         run(case, "simulate", "--config", f"{case}.cfg", "--out", "refused.csv")
+    # The assignment is finite and B_hat is not, so the solve writes neither file.
+    rng = np.random.default_rng(0)
+    write_matrix(rng.standard_normal((40, 3)) * 1e-300, "refuse_signal_overflow_x.txt")
+    write_matrix(rng.standard_normal((40, 3)) * 1e300, "refuse_signal_overflow_y.txt")
+    run("refuse_signal_overflow", "solve", "--x", "refuse_signal_overflow_x.txt",
+        "--y", "refuse_signal_overflow_y.txt", "--out-perm", "refused_perm.txt",
+        "--out-b", "refused_b.txt")
 
 
 def generate(out: Path) -> None:

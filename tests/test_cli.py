@@ -2,6 +2,7 @@ import codecs
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -171,6 +172,26 @@ class TestSolve:
         assert out.stdout == ""
         assert out.stderr == (
             "error: least-squares signal estimate B_hat overflows float64; rescale x or y\n"
+        )
+        assert not out_perm.exists() and not out_b.exists()
+
+    def test_rank_deficient_design_writes_no_output(self, tmp_path):
+        # The third column of X repeats the first. The condition estimate is matched by a
+        # pattern, since its digits follow the BLAS kernel.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((40, 3))
+        x[:, 2] = x[:, 0]
+        x_path, y_path = tmp_path / "x.txt", tmp_path / "y.txt"
+        write_matrix(x, x_path)
+        write_matrix(rng.standard_normal((40, 3)), y_path)
+        out_perm, out_b = tmp_path / "p.txt", tmp_path / "b.txt"
+        out = run_cli("solve", "--x", x_path, "--y", y_path, "--out-perm", out_perm, "--out-b", out_b)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert re.fullmatch(
+            r"error: design matrix is numerically rank deficient "
+            r"\(condition estimate \S+, cutoff 1\.0e\+10\)\n",
+            out.stderr,
         )
         assert not out_perm.exists() and not out_b.exists()
 
@@ -372,6 +393,7 @@ class TestSimulate:
         directory.mkdir()
         proc = run_cli("simulate", "--config", directory, "--out", tmp_path / "a.csv")
         assert proc.returncode == 1
+        assert proc.stdout == ""
         assert proc.stderr == f"error: cannot open {directory}: Is a directory\n"
         latin1 = tmp_path / "latin1.cfg"
         latin1.write_bytes(b"n = 20\np = 2\nm = 2\nh = 0\n# caf\xe9\n")

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -371,8 +372,8 @@ class TestAlternatingMinimization:
         # cost has exactly tied optima, and scipy's choice among them follows the
         # cost's bits, so a second rounding of the same cost could pick another one.
         b = build_canonical_signal(p, m, 1.0)
-        sigma = sigma_for_snr(b, m, 3.0)
-        for seed in range(10):
+        for target, seed in itertools.product((0.5, 3.0, 40.0), range(10)):
+            sigma = sigma_for_snr(b, m, target)
             inst = synthesize_instance(n, p, m, n // 2, dist, b, sigma, seed)
             one_step = one_step_estimate(inst.x, inst.y)
             alt = alternating_minimization(inst.x, inst.y, max_iters=0)

@@ -66,7 +66,7 @@ class TestSigmaForSnr:
         b = rng.standard_normal((4, 3))
         for target in (0.037, 1.0, 2.5e4):
             sigma = sigma_for_snr(b, 3, target)
-            assert snr(b, 3, sigma) == pytest.approx(target, rel=1e-12)
+            assert snr(b, sigma) == pytest.approx(target, rel=1e-12)
 
     def test_extreme_scales(self):
         # The squared Frobenius norms 2e308 and 1e-340 are out of range; sigma is not.

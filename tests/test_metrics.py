@@ -170,14 +170,14 @@ class TestStableRank:
 
 class TestSnr:
     def test_direct_substitution(self):
-        b = np.sqrt(np.array([[5.0]]))
-        assert snr(b, 5, 1.0) == pytest.approx(1.0)
+        b = np.ones((1, 5))  # ||B||_F^2 = 5 over m = 5 columns
+        assert snr(b, 1.0) == pytest.approx(1.0)
 
     def test_canonical_with_small_sigma(self):
-        assert snr(build_canonical_signal(50, 5, 1.0), 5, 0.1) == pytest.approx(100.0)
+        assert snr(build_canonical_signal(50, 5, 1.0), 0.1) == pytest.approx(100.0)
 
     def test_noiseless_marker_dominates_everything(self):
-        marker = snr(np.ones((2, 2)), 2, 0.0)
+        marker = snr(np.ones((2, 2)), 0.0)
         assert isinstance(marker, NoiselessMarker)
         assert marker is NOISELESS
         assert marker > 1e300
@@ -203,45 +203,36 @@ class TestSnr:
     def test_scaling_laws(self):
         rng = np.random.default_rng(4)
         b = rng.standard_normal((3, 4))
-        base = snr(b, 4, 0.7)
-        assert snr(2.5 * b, 4, 0.7) == pytest.approx(2.5**2 * base)
-        assert snr(b, 4, 3.0 * 0.7) == pytest.approx(base / 9.0)
+        base = snr(b, 0.7)
+        assert snr(2.5 * b, 0.7) == pytest.approx(2.5**2 * base)
+        assert snr(b, 3.0 * 0.7) == pytest.approx(base / 9.0)
 
     def test_extreme_scales(self):
         # ||B||_F^2 = 2e308 and m * sigma^2 = 1e-340 are out of range; the ratios are not.
-        assert snr(np.diag([1e154, 1e154]), 2, 1.0) == pytest.approx(1e308, rel=1e-15)
-        assert snr(np.array([[1e-170]]), 1, 1e-170) == pytest.approx(1.0, rel=1e-15)
-        assert snr(np.array([[1.7e308]]), 1, 1e155) == pytest.approx(2.89e306, rel=1e-15)
-
-    def test_count_past_double_range_is_value_error(self):
-        # float(m) overflows above 1.8e308; the message gives its size, not its 401 digits.
-        with pytest.raises(ValueError) as err:
-            snr(np.ones((2, 2)), 10**400, 1.0)
-        assert str(err.value) == "m of about 1e400 overflows double precision"
-        assert snr(np.ones((2, 2)), 10**300, 1.0) == 4.0 / 10**300
+        assert snr(np.diag([1e154, 1e154]), 1.0) == pytest.approx(1e308, rel=1e-15)
+        assert snr(np.array([[1e-170]]), 1e-170) == pytest.approx(1.0, rel=1e-15)
+        assert snr(np.array([[1.7e308]]), 1e155) == pytest.approx(2.89e306, rel=1e-15)
 
     def test_inverse_count_past_double_range_is_value_error(self):
-        # sigma_for_snr divides by m as snr does, so it refuses the same m with the same message.
+        # float(m) overflows above 1.8e308; the message gives its size, not its 401 digits.
         with pytest.raises(ValueError) as err:
             sigma_for_snr(np.eye(2), 10**400, 1.0)
         assert str(err.value) == "m of about 1e400 overflows double precision"
         assert sigma_for_snr(np.eye(2), 10**300, 1e-300) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
-    @pytest.mark.parametrize("b,m,sigma", [([[1.0]], 1, 1e-200), ([[1e154, 0], [0, 1e154]], 1, 1.0)])
-    def test_overflow_is_rejected(self, b, m, sigma):
+    @pytest.mark.parametrize("b,sigma", [([[1.0]], 1e-200), ([[1e155, 0], [0, 1e155]], 1.0)])
+    def test_overflow_is_rejected(self, b, sigma):
         with pytest.raises(ValueError, match="overflows double precision"):
-            snr(np.array(b), m, sigma)
+            snr(np.array(b), sigma)
 
     def test_underflow_rounds_to_zero(self):
-        assert snr(np.array([[1e-200]]), 1, 1e10) == 0.0
+        assert snr(np.array([[1e-200]]), 1e10) == 0.0
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError, match="m must be"):
-            snr(np.ones((2, 2)), 0, 1.0)
         with pytest.raises(ValueError, match="sigma"):
-            snr(np.ones((2, 2)), 2, -1.0)
+            snr(np.ones((2, 2)), -1.0)
         with pytest.raises(ValueError, match=r"^sigma must be >= 0, got nan$"):
-            snr(np.ones((2, 2)), 2, math.nan)
+            snr(np.ones((2, 2)), math.nan)
 
 
 class TestLogdetRatio:
@@ -266,7 +257,7 @@ class TestLogdetRatio:
         assert logdet_ratio(b, sigma, 1000) * math.log(1000) == pytest.approx(
             closed, rel=1e-12
         )
-        assert closed == pytest.approx(sr * math.log1p(snr(b, 8, sigma)), rel=1e-12)
+        assert closed == pytest.approx(sr * math.log1p(snr(b, sigma)), rel=1e-12)
 
     def test_monotone_decreasing_in_sigma(self):
         b = np.array([[1.0, 0.2], [0.0, 2.0]])
